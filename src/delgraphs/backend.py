@@ -8,13 +8,13 @@ compiled one is merely faster.  Selection happens once at import:
   * ``DELGRAPHS_BACKEND=python`` forces the pure kernels,
   * ``DELGRAPHS_BACKEND=compiled`` requires the extension (ImportError
     if it is missing),
-  * otherwise the extension is used when importable.
+  * otherwise the extension is used when importable, else the pure
+    kernels, silently; ``backend_name()`` says which one runs.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 _requested = os.environ.get("DELGRAPHS_BACKEND", "").strip().lower()
 
@@ -27,8 +27,6 @@ else:
         from . import _speedups as kernel  # type: ignore[no-redef]
     except ImportError:
         from . import _pure as kernel  # type: ignore[no-redef]
-        warnings.warn("delgraphs: compiled kernels unavailable, using the "
-                      "pure-Python fallback (slower, same results)")
 
 solve_slack_lp = kernel.solve_slack_lp
 sample_pair_search = kernel.sample_pair_search

@@ -44,15 +44,25 @@ class Instance:
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
+def _decimal(text: str, line_no: int | None) -> int:
+    """int() of a decimal string; int() refuses more digits than
+    sys.get_int_max_str_digits() (4300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} characters is too long",
+                         line_no) from None
+
+
 def parse_rational(text: str, line_no: int | None = None) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational {text!r}", line_no)
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        if _decimal(den, line_no) == 0:
             raise ParseError(f"zero denominator in {text!r}", line_no)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_decimal(num, line_no), _decimal(den, line_no))
+    return Fraction(_decimal(text, line_no))
 
 
 def format_rational(value: Fraction) -> str:
@@ -85,16 +95,16 @@ def parse_instance(text: str) -> Instance:
     seed = None
     no, toks = next_line("'seed' or 'shape'")
     if toks[0] == "seed":
-        if len(toks) != 2 or not toks[1].isdigit():
+        if len(toks) != 2 or not toks[1].isdecimal():
             raise ParseError("expected 'seed <unsigned integer>'", no)
-        seed = int(toks[1])
+        seed = _decimal(toks[1], no)
         if seed >= 1 << 64:
             raise ParseError("seed exceeds 64 bits", no)
         no, toks = next_line("'shape'")
 
-    if toks[0] != "shape" or len(toks) != 2 or not toks[1].isdigit():
+    if toks[0] != "shape" or len(toks) != 2 or not toks[1].isdecimal():
         raise ParseError("expected 'shape <count>'", no)
-    k = int(toks[1])
+    k = _decimal(toks[1], no)
     halfplanes = []
     for _ in range(k):
         no, toks = next_line("half-plane line")
@@ -108,9 +118,9 @@ def parse_instance(text: str) -> Instance:
         halfplanes.append(HalfPlane((ax, ay), b, toks[3] == "strict"))
 
     no, toks = next_line("'points'")
-    if toks[0] != "points" or len(toks) != 2 or not toks[1].isdigit():
+    if toks[0] != "points" or len(toks) != 2 or not toks[1].isdecimal():
         raise ParseError("expected 'points <count>'", no)
-    n = int(toks[1])
+    n = _decimal(toks[1], no)
     pts = []
     seen = set()
     for _ in range(n):

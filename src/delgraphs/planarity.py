@@ -191,16 +191,32 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     half-plane is tight, so the search assigns one tight half-plane per
     point and decides the equality-tightened system by LP, pruning
     assignment prefixes as soon as they go infeasible.
+
+    Before any LP, exact dot products rule out most assignments.  If p is
+    tight on the half-plane a.x <= b of C, then a.(p - t) = lam*b while
+    every other chosen point q is inside, a.(q - t) <= lam*b; hence
+    a.q <= a.p.  A strict half-plane is never tight (its row a.(p - t) <
+    lam*b contradicts equality).  So p may take a half-plane only if it is
+    closed and p maximises a over the chosen points, ties included.  Each
+    assignment this drops is one the LP would find empty, so the answer
+    is unchanged; a point left with no half-plane decides False at once.
     """
-    cons: list[LinearConstraint] = [POSITIVE_SCALE]
-    mems = []
-    for idx in indices:
-        m = membership_constraints(shape, points[idx], HOMOTHET)
-        mems.append(m)
-        cons.extend(m)
     if not shape.halfplanes:
         return False
-    base = ConvexRegion(3, tuple(cons))
+    chosen = [points[idx] for idx in indices]
+    mems = [membership_constraints(shape, p, HOMOTHET) for p in chosen]
+    allowed: list[list[LinearConstraint]] = [[] for _ in chosen]
+    for hi, h in enumerate(shape.halfplanes):
+        if h.strict:
+            continue
+        dots = [h.a[0] * p.x + h.a[1] * p.y for p in chosen]
+        top = max(dots, default=0)
+        for pi, d in enumerate(dots):
+            if d == top:
+                allowed[pi].append(mems[pi][hi])
+    if not all(allowed):
+        return False
+    base = ConvexRegion(3, (POSITIVE_SCALE,) + tuple(c for m in mems for c in m))
     if not feasible(base):
         return False
 
@@ -209,9 +225,9 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
         return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
 
     def dfs(region: ConvexRegion, depth: int) -> bool:
-        if depth == len(mems):
+        if depth == len(allowed):
             return True
-        for c in mems[depth]:
+        for c in allowed[depth]:
             sub = region.with_constraints([tightened(c)])
             if feasible(sub) and dfs(sub, depth + 1):
                 return True

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delgraphs.builder import build_graph
 from delgraphs.instances import (Instance, ParseError, emit_instance,
@@ -10,7 +11,7 @@ from delgraphs.instances import (Instance, ParseError, emit_instance,
 from delgraphs.builder import PointSet
 from delgraphs.geometry import point
 from delgraphs.region import ConvexRegion, feasible
-from delgraphs.shape import (HOMOTHET, TRANSLATE, Placement, contains,
+from delgraphs.shape import (HOMOTHET, MODES, TRANSLATE, Placement, contains,
                              membership_constraints, shape_from_rows)
 
 F = Fraction
@@ -70,6 +71,56 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_instance("mode translate\nshape 1\n1 0 1/0 closed\npoints 1\n0 0\n")
     assert err.value.line_no == 3
+
+
+LONG_DIGITS = "1" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("bad,line_no", [
+    ("mode translate\nshape \u00b2\npoints 0\n", 2),
+    ("mode translate\nshape 0\npoints \u00b3\n", 3),
+    ("mode translate\nseed \u00b2\nshape 0\npoints 0\n", 2),
+    (f"mode translate\nseed {LONG_DIGITS}\nshape 0\npoints 0\n", 2),
+    (f"mode translate\nshape 1\n1 0 {LONG_DIGITS} closed\npoints 0\n", 3),
+], ids=["shape-superscript", "points-superscript", "seed-superscript",
+        "seed-too-long", "rational-too-long"])
+def test_parse_error_on_tokens_int_rejects(bad, line_no):
+    # str.isdigit() accepts superscripts that int() rejects
+    with pytest.raises(ParseError) as err:
+        parse_instance(bad)
+    assert err.value.line_no == line_no
+
+
+ODD_TOKENS = ["\u00b2", "\u00b3", "\u0663", "\u0661/\u0662", "1/0", "1e3",
+              str(2 ** 64), "-1", "1.5", "", LONG_DIGITS, f"1/{LONG_DIGITS}"]
+
+
+@st.composite
+def mutated_instance_texts(draw):
+    """A valid generated instance with one token replaced by a drawn one."""
+    inst = generate_instance(draw(st.integers(0, 2 ** 64 - 1)),
+                             draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                             draw(st.sampled_from(MODES)), F(1, 2))
+    lines = [line.split() for line in emit_instance(inst).splitlines()]
+    row = draw(st.integers(0, len(lines) - 1))
+    col = draw(st.integers(0, len(lines[row]) - 1))
+    lines[row][col] = draw(st.one_of(
+        st.sampled_from(ODD_TOKENS),
+        st.text(st.characters(categories=["Nd", "No"]), min_size=1, max_size=3),
+        st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)))
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@settings(deadline=None)
+@given(text=mutated_instance_texts())
+@example(text="mode translate\nshape \u00b2\npoints 0\n")
+@example(text="mode translate\nshape 0\npoints \u00b3\n")
+@example(text="mode translate\nseed \u00b2\nshape 0\npoints 0\n")
+def test_parse_instance_raises_only_parse_error(text):
+    try:
+        parse_instance(text)
+    except ParseError:
+        pass
 
 
 def test_parse_rational():

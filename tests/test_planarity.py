@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from delgraphs import planarity
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
 from delgraphs.geometry import convex_hull, point
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import (collinear_triples, find_boundary_degeneracy,
                                  on_common_homothet_boundary,
                                  triangulation_check, verify_plane)
-from delgraphs.shape import HOMOTHET, TRANSLATE, Placement, shape_from_rows
+from delgraphs.region import ConvexRegion, LinearConstraint, feasible
+from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, Placement,
+                             membership_constraints, shape_from_rows)
 
 F = Fraction
 
@@ -109,7 +112,8 @@ def test_collinear_triples():
 
 
 def test_square_corners_are_boundary_degenerate():
-    # all four corners lie on the boundary of the 2x scaled unit square
+    # all four corners lie on the boundary of the 2x scaled unit square;
+    # two corners tie on each side, and both may be tight there
     assert on_common_homothet_boundary(SQUARE_CORNERS.points,
                                        CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
     assert find_boundary_degeneracy(SQUARE_CORNERS.points,
@@ -119,6 +123,74 @@ def test_square_corners_are_boundary_degenerate():
 def test_generic_points_not_boundary_degenerate():
     pts = (point(0, 0), point(3, 1), point(1, F(5, 2)), point(F(7, 3), F(8, 3)))
     assert find_boundary_degeneracy(pts, CLOSED_UNIT_SQUARE) is None
+
+
+def boundary_by_all_assignments(points, shape, quad) -> bool:
+    """Reference for on_common_homothet_boundary with no pre-filter: some
+    choice of one tight half-plane per point leaves the homothet system
+    nonempty.  All k^len(quad) choices are tried; a choice whose prefix
+    is already empty is skipped, since more rows cannot make it nonempty."""
+    mems = [membership_constraints(shape, points[i], HOMOTHET) for i in quad]
+    rows = (POSITIVE_SCALE,) + tuple(c for m in mems for c in m)
+
+    def tight(c):
+        return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
+
+    def search(region, depth):
+        if not feasible(region):
+            return False
+        return depth == len(mems) or any(
+            search(region.with_constraints([tight(c)]), depth + 1)
+            for c in mems[depth])
+
+    return bool(shape.halfplanes) and search(ConvexRegion(3, rows), 0)
+
+
+def test_boundary_filter_agrees_with_all_assignments():
+    cases = [generate_instance(4000 + s, 5, 4, HOMOTHET, F(1, 3))
+             for s in range(30)]
+    cases += [generate_bounded_instance(7000 + s, 6, 4, HOMOTHET)
+              for s in range(10)]
+    assert any(h.strict for inst in cases for h in inst.shape.halfplanes)
+    positives = decided = 0
+    for inst in cases:
+        pts = inst.points.points
+        for quad in itertools.combinations(range(len(pts)), 4):
+            want = boundary_by_all_assignments(pts, inst.shape, quad)
+            assert on_common_homothet_boundary(pts, inst.shape, quad) == want, \
+                (inst.seed, quad)
+            positives += want
+            decided += 1
+    assert decided == 30 * 5 + 10 * 15
+    assert positives >= 1  # seed 7002 has a boundary degeneracy
+
+
+def count_feasible_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(region):
+        calls.append(region)
+        return feasible(region)
+
+    monkeypatch.setattr(planarity, "feasible", counted)
+    return calls
+
+
+def test_point_inside_the_triangle_decides_without_an_lp(monkeypatch):
+    calls = count_feasible_calls(monkeypatch)
+    pts = (point(0, 0), point(6, 0), point(0, 6), point(1, 1))
+    assert not on_common_homothet_boundary(pts, CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
+    assert calls == []
+
+
+def test_open_square_makes_no_point_tight(monkeypatch):
+    open_square = shape_from_rows([
+        (1, 0, 1, True), (-1, 0, 0, True), (0, 1, 1, True), (0, -1, 0, True)])
+    calls = count_feasible_calls(monkeypatch)
+    for quad in [(0,), (0, 1, 2, 3)]:
+        assert not on_common_homothet_boundary(SQUARE_CORNERS.points,
+                                               open_square, quad)
+    assert calls == []
 
 
 def test_triangulation_on_generic_bounded_instances():
