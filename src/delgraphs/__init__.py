@@ -9,7 +9,7 @@ checks are exhaustive exact scans.
 from .backend import backend_name
 from .builder import (Edge, GeometricGraph, PointSet, WitnessVerificationError,
                       build_graph, edge_feasible, is_subgraph, verify_witness)
-from .geometry import (Point2, Scalar, Segment, SegmentRelation, convex_hull,
+from .geometry import (Point2, Segment, SegmentRelation, convex_hull,
                        on_closed_segment, orient, point, segments_cross)
 from .instances import (Instance, ParseError, emit_instance,
                         generate_bounded_instance, generate_instance,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Edge", "GeometricGraph", "PointSet", "WitnessVerificationError",
     "build_graph", "edge_feasible", "is_subgraph", "verify_witness",
-    "Point2", "Scalar", "Segment", "SegmentRelation", "convex_hull",
+    "Point2", "Segment", "SegmentRelation", "convex_hull",
     "on_closed_segment", "orient", "point", "segments_cross",
     "Instance", "ParseError", "emit_instance", "generate_bounded_instance",
     "generate_instance", "parse_instance", "sample_witness_search",

@@ -35,6 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(minimum: int):
+    """argparse type: an integer >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _read_instance(path: str) -> Instance:
     """Read and parse an instance file.  ``OSError`` and ``ParseError``
     propagate to ``main()``, which reports them with the path and
@@ -260,10 +273,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="randomized theorem verification")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count(0), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-points", type=int, default=10)
-    p.add_argument("--max-halfplanes", type=int, default=7)
+    p.add_argument("--max-points", type=_count(1), default=10)
+    p.add_argument("--max-halfplanes", type=_count(1), default=7)
     p.add_argument("--open-fraction",
                    help="fixed strictness probability p/q; default cycles 0, 1/4, 1")
     p.set_defaults(func=cmd_fuzz)
@@ -278,7 +291,7 @@ def main(argv=None) -> int:
                                    "polygonal shape need not reach it.  "
                                    "Exit 2 on a miss that no 4-point "
                                    "boundary degeneracy excuses.")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_triangulate_check)
 

@@ -12,13 +12,6 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-Scalar = Fraction
-
-
-def as_scalar(value) -> Fraction:
-    """Coerce ints / strings like ``"3/4"`` to an exact rational."""
-    return Fraction(value)
-
 
 @dataclass(frozen=True)
 class Point2:
@@ -141,6 +134,18 @@ def convex_hull(points: list[Point2]) -> list[Point2]:
     return lower[:-1] + upper[:-1]
 
 
+def clear_denominators(values) -> tuple[tuple[int, ...], int]:
+    """Scale rationals by the lcm L of their denominators.
+
+    Returns (ints, L) with ints[k] == values[k] * L exactly; L is 1 for an
+    empty input.  Every rational-to-integer step in the package goes
+    through here.
+    """
+    values = tuple(values)
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
 def scale_to_integers(points: list[Point2]) -> tuple[list[tuple[int, int]], int]:
     """Map rational points onto a common integer grid.
 
@@ -149,15 +154,5 @@ def scale_to_integers(points: list[Point2]) -> tuple[list[tuple[int, int]], int]
     and plain-int arithmetic is much faster than Fraction arithmetic in the
     exhaustive planarity scans.
     """
-    denominators = [1]
-    for p in points:
-        denominators.append(p.x.denominator)
-        denominators.append(p.y.denominator)
-    scale = lcm(*denominators)
-    scaled = [(int(p.x * scale), int(p.y * scale)) for p in points]
-    return scaled, scale
-
-
-def orient_int(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
-    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (d > 0) - (d < 0)
+    ints, scale = clear_denominators(c for p in points for c in (p.x, p.y))
+    return list(zip(ints[0::2], ints[1::2])), scale

@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from . import backend
 from .builder import PointSet
-from .geometry import Point2
+from .geometry import Point2, clear_denominators
 from .rng import SplitMix64, derive_seed, rational_in_window
 from .shape import HOMOTHET, MODES, TRANSLATE, ConvexShape, HalfPlane, Placement
 
@@ -63,10 +63,6 @@ def parse_rational(text: str, line_no: int | None = None) -> Fraction:
             raise ParseError(f"zero denominator in {text!r}", line_no)
         return Fraction(_decimal(num, line_no), _decimal(den, line_no))
     return Fraction(_decimal(text, line_no))
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_instance(text: str) -> Instance:
@@ -145,11 +141,10 @@ def emit_instance(inst: Instance) -> str:
     out.append(f"shape {len(inst.shape.halfplanes)}")
     for h in inst.shape.halfplanes:
         kind = "strict" if h.strict else "closed"
-        out.append(f"{format_rational(h.a[0])} {format_rational(h.a[1])} "
-                   f"{format_rational(h.b)} {kind}")
+        out.append(f"{h.a[0]} {h.a[1]} {h.b} {kind}")
     out.append(f"points {len(inst.points)}")
     for p in inst.points.points:
-        out.append(f"{format_rational(p.x)} {format_rational(p.y)}")
+        out.append(f"{p.x} {p.y}")
     return "\n".join(out) + "\n"
 
 
@@ -257,19 +252,15 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def _integer_shape_rows(shape: ConvexShape):
-    rows = []
-    for h in shape.halfplanes:
-        scale = lcm(h.a[0].denominator, h.a[1].denominator, h.b.denominator)
-        rows.append(((int(h.a[0] * scale), int(h.a[1] * scale), int(h.b * scale)),
-                     h.strict))
-    return rows
+    return [(clear_denominators((h.a[0], h.a[1], h.b))[0], h.strict)
+            for h in shape.halfplanes]
 
 
 def _integer_points(points: PointSet):
     out = []
     for p in points.points:
-        d = lcm(p.x.denominator, p.y.denominator)
-        out.append((int(p.x * d), int(p.y * d), d))
+        (x, y), d = clear_denominators((p.x, p.y))
+        out.append((x, y, d))
     return out
 
 

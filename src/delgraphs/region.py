@@ -2,7 +2,7 @@
 strictness flags, exact feasibility decisions, and convex set difference.
 
 Feasibility is decided by maximizing a shared slack variable s over the
-region with every strict constraint tightened by s (see ``_pure`` for the
+region with every strict constraint tightened by s (see ``backend`` for the
 LP statement): the region is nonempty iff the LP is feasible and, when
 strict constraints are present, the optimal s is positive.  The LP
 optimizer's x doubles as the witness; by construction it sits strictly
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import backend
+from .geometry import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ def _int_row(c: LinearConstraint):
     strict rows (0 otherwise), memoized on the constraint object."""
     row = getattr(c, "_cached_int_row", None)
     if row is None:
-        scale = lcm(*(v.denominator for v in c.coeffs), c.bound.denominator)
-        a = tuple(int(v * scale) for v in c.coeffs)
-        b = int(c.bound * scale)
-        row = (a, b, scale if c.strict else 0, scale)
+        ints, scale = clear_denominators(c.coeffs + (c.bound,))
+        row = (ints[:-1], ints[-1], scale if c.strict else 0, scale)
         object.__setattr__(c, "_cached_int_row", row)
     return row
 
@@ -100,8 +98,7 @@ def _integer_rows(region: ConvexRegion):
 
 def _hint_satisfies(region: ConvexRegion, hint) -> bool:
     """contains_point() on denominator-cleared integers."""
-    d = lcm(*(v.denominator for v in hint), 1)
-    nums = tuple(int(v * d) for v in hint)
+    nums, d = clear_denominators(hint)
     for c in region.constraints:
         a, b, sigma, _ = _int_row(c)
         v = sum(ai * xi for ai, xi in zip(a, nums))

@@ -1,9 +1,10 @@
 """Deterministic random streams shared by the generator and the samplers.
 
-splitmix64 is used instead of ``random.Random`` because the compiled
-sampling kernel mirrors the exact same integer recurrence in C, so both
-backends draw identical streams.  Every trial derives its own stream from
-(seed, index), making results independent of evaluation order.
+splitmix64 is used instead of ``random.Random`` because its integer
+recurrence is fixed, so a seed names the same stream on every Python
+version; the fuzz, generator and sampling streams all depend on it.
+Every trial derives its own stream from (seed, index), making results
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n).  Modulo bias is irrelevant at the
-        tiny ranges used here and keeps the C mirror trivial."""
+        tiny ranges used here."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
         return self.next_u64() % n
@@ -41,7 +42,7 @@ class SplitMix64:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Independent child seed for (seed, index); also mirrored in C."""
+    """Independent child seed for (seed, index)."""
     g = SplitMix64((seed ^ (index * 0x9E3779B97F4A7C15)) & MASK64)
     return g.next_u64()
 

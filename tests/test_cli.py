@@ -107,6 +107,22 @@ def test_usage_error_exit_code_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fuzz", "--trials", "-2", "--seed", "1"], "--trials"),
+    (["fuzz", "--trials", "1", "--seed", "1", "--max-points", "0"], "--max-points"),
+    (["fuzz", "--trials", "1", "--seed", "1", "--max-halfplanes", "0"],
+     "--max-halfplanes"),
+    (["triangulate-check", "--trials", "-1", "--seed", "1"], "--trials"),
+])
+def test_bad_count_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+
+
 def test_fuzz_small_run_clean(capsys):
     assert main(["fuzz", "--trials", "6", "--seed", "11",
                  "--max-points", "6", "--max-halfplanes", "5"]) == 0

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delgraphs.geometry import (Point2, Segment, SegmentRelation, convex_hull,
+from delgraphs import instances, region
+from delgraphs.geometry import (Point2, Segment, SegmentRelation,
+                                clear_denominators, convex_hull,
                                 on_closed_segment, orient, point,
-                                segments_cross)
+                                scale_to_integers, segments_cross)
+from delgraphs.instances import generate_bounded_instance, generate_instance
+from delgraphs.shape import HOMOTHET, MODES, TRANSLATE, membership_constraints
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 points = st.builds(Point2, frac, frac)
@@ -150,3 +155,58 @@ def test_convex_hull_is_convex_and_covers(pts):
             s = Segment(hull[0], hull[1])
             for p in pts:
                 assert on_closed_segment(p, s)
+
+
+@given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=12))
+def test_clear_denominators_scales_by_the_lcm(values):
+    ints, scale = clear_denominators(values)
+    assert scale == lcm(*(v.denominator for v in values))
+    assert len(ints) == len(values)
+    for n, v in zip(ints, values):
+        assert type(n) is int and n == v * scale
+
+
+def test_clear_denominators_of_nothing_is_scale_1():
+    assert clear_denominators([]) == ((), 1)
+
+
+def _old_int_row(c):
+    scale = lcm(*(v.denominator for v in c.coeffs), c.bound.denominator)
+    a = tuple(int(v * scale) for v in c.coeffs)
+    return (a, int(c.bound * scale), scale if c.strict else 0, scale)
+
+
+def _old_shape_rows(shape):
+    rows = []
+    for h in shape.halfplanes:
+        scale = lcm(h.a[0].denominator, h.a[1].denominator, h.b.denominator)
+        rows.append(((int(h.a[0] * scale), int(h.a[1] * scale), int(h.b * scale)),
+                     h.strict))
+    return rows
+
+
+def _old_points(points):
+    out = []
+    for p in points.points:
+        d = lcm(p.x.denominator, p.y.denominator)
+        out.append((int(p.x * d), int(p.y * d), d))
+    return out
+
+
+def _old_scale_to_integers(points):
+    scale = lcm(1, *(d for p in points for d in (p.x.denominator, p.y.denominator)))
+    return [(int(p.x * scale), int(p.y * scale)) for p in points], scale
+
+
+def test_integer_forms_match_the_former_inline_formulas():
+    insts = [generate_instance(s, 7, 5, TRANSLATE, Fraction(1, 2)) for s in range(6)]
+    insts += [generate_bounded_instance(s, 7, 5, HOMOTHET) for s in range(6)]
+    for inst in insts:
+        pts = list(inst.points.points)
+        assert scale_to_integers(pts) == _old_scale_to_integers(pts)
+        assert instances._integer_shape_rows(inst.shape) == _old_shape_rows(inst.shape)
+        assert instances._integer_points(inst.points) == _old_points(inst.points)
+        for mode in MODES:
+            cons = [c for p in pts for c in membership_constraints(inst.shape, p, mode)]
+            for c in cons + [region.negate(c) for c in cons]:
+                assert region._int_row(c) == _old_int_row(c)
