@@ -6,7 +6,7 @@ p_i and p_j and no other point of P.  The search runs in placement
 parameter space: the placements containing both endpoints form a convex
 region, each other point r carves out the convex "hole" of placements
 containing r, and the edge exists iff the base region minus all holes is
-nonempty.  Holes are subtracted in ascending point order and the
+nonempty.  Holes are cut away in ascending point order and the
 resulting disjoint cells are scanned in generation order, so the witness
 each edge carries is deterministic.
 """
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2
-from .region import (ConvexRegion, FeasibilityResult, feasible,
-                     feasible_with_hint, negate)
+from .region import ConvexRegion, feasible, feasible_with_hint, negate
 from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                     Placement, contains, membership_constraints)
 
@@ -84,8 +83,8 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
         base_cons.append(POSITIVE_SCALE)
         dim = 3
     base = ConvexRegion(dim, tuple(base_cons))
-    res = feasible(base)
-    if not res:
+    x = feasible(base)
+    if x is None:
         return None
 
     excluded = [k for k in range(len(points)) if k != i and k != j]
@@ -93,22 +92,22 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     def dfs(cell: ConvexRegion, hint, depth: int) -> Placement | None:
         if depth == len(excluded):
             final = feasible(cell)
-            if not final:  # cell was certified nonempty on the way down
+            if final is None:  # cell was certified nonempty on the way down
                 raise AssertionError("feasible cell became infeasible")
-            return _witness_from(final.witness, mode)
+            return _witness_from(final, mode)
         k = excluded[depth]
         prefix: list = []
         for h, neg in zip(mems[k], negs[k]):
             piece = cell.with_constraints(prefix + [neg])
             probe = feasible_with_hint(piece, hint)
-            if probe:
-                found = dfs(piece, probe.witness, depth + 1)
+            if probe is not None:
+                found = dfs(piece, probe, depth + 1)
                 if found is not None:
                     return found
             prefix.append(h)
         return None
 
-    return dfs(base, res.witness, 0)
+    return dfs(base, x, 0)
 
 
 def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,

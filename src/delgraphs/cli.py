@@ -48,6 +48,17 @@ def _count(minimum: int):
     return parse
 
 
+def _probability(text: str) -> Fraction:
+    """argparse type: a rational p/q in [0, 1]."""
+    try:
+        value = parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _read_instance(path: str) -> Instance:
     """Read and parse an instance file.  ``OSError`` and ``ParseError``
     propagate to ``main()``, which reports them with the path and
@@ -125,7 +136,7 @@ SAMPLING_TRIALS = 300
 
 
 def run_fuzz(trials: int, seed: int, max_points: int, max_halfplanes: int,
-             open_fraction: Fraction | None, out=None):
+             open_fraction: Fraction | None):
     """Shared fuzz driver; returns (summary_text, violations).  Printing is
     separated from computation so tests can compare summaries byte-wise."""
     violations = []
@@ -193,10 +204,9 @@ def run_fuzz(trials: int, seed: int, max_points: int, max_halfplanes: int,
 
 
 def cmd_fuzz(args) -> int:
-    of = parse_rational(args.open_fraction) if args.open_fraction else None
     t0 = time.perf_counter()
     summary, violations = run_fuzz(args.trials, args.seed, args.max_points,
-                                   args.max_halfplanes, of)
+                                   args.max_halfplanes, args.open_fraction)
     for kind, inst, detail in violations:
         _dump_violation(kind, inst, detail)
     sys.stdout.write(summary)
@@ -204,7 +214,10 @@ def cmd_fuzz(args) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def run_triangulate_check(trials: int, seed: int, resample_attempts: int = 50):
+RESAMPLE_ATTEMPTS = 50
+
+
+def run_triangulate_check(trials: int, seed: int):
     """Returns (summary_text, unexplained_misses).
 
     ``matches=`` counts trials whose homothet graph is ``triangulated``:
@@ -218,7 +231,7 @@ def run_triangulate_check(trials: int, seed: int, resample_attempts: int = 50):
         n = 4 + params.below(7)
         k = 3 + params.below(5)
         inst = None
-        for attempt in range(resample_attempts):
+        for attempt in range(RESAMPLE_ATTEMPTS):
             cand = generate_bounded_instance(
                 derive_seed(params.next_u64(), attempt), n, k, HOMOTHET)
             if not collinear_triples(cand.points.points):
@@ -277,7 +290,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-points", type=_count(1), default=10)
     p.add_argument("--max-halfplanes", type=_count(1), default=7)
-    p.add_argument("--open-fraction",
+    p.add_argument("--open-fraction", type=_probability,
                    help="fixed strictness probability p/q; default cycles 0, 1/4, 1")
     p.set_defaults(func=cmd_fuzz)
 

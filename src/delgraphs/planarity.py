@@ -217,7 +217,7 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     if not all(allowed):
         return False
     base = ConvexRegion(3, (POSITIVE_SCALE,) + tuple(c for m in mems for c in m))
-    if not feasible(base):
+    if feasible(base) is None:
         return False
 
     def tightened(c: LinearConstraint) -> LinearConstraint:
@@ -229,7 +229,7 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
             return True
         for c in allowed[depth]:
             sub = region.with_constraints([tightened(c)])
-            if feasible(sub) and dfs(sub, depth + 1):
+            if feasible(sub) is not None and dfs(sub, depth + 1):
                 return True
         return False
 

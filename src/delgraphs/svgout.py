@@ -20,8 +20,9 @@ def _fmt(v) -> str:
 
 
 def _viewport(points):
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    # an empty point set gets the box of a single point at the origin
+    xs = [p.x for p in points] or [Fraction(0)]
+    ys = [p.y for p in points] or [Fraction(0)]
     lox, hix = min(xs), max(xs)
     loy, hiy = min(ys), max(ys)
     w = hix - lox

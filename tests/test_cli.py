@@ -53,6 +53,34 @@ def test_build_writes_witnesses_and_svg(tmp_path, capsys, good_file):
     capsys.readouterr()
 
 
+# Wider square [0,3]^2: the translate graph has edges too.
+WIDE = GOOD.replace("1 0 1 closed", "1 0 3 closed").replace("0 1 1 closed", "0 1 3 closed")
+
+
+@pytest.mark.parametrize("text, mode, expected", [
+    (GOOD, "homothet", "0 1 0 -1 2\n0 2 -1 0 2\n1 3 1 0 2\n2 3 0 1 2\n"),
+    (GOOD, "translate", ""),
+    (WIDE, "translate", "0 1 0 -2 1\n0 2 -2 0 1\n1 3 1 0 1\n2 3 0 1 1\n"),
+])
+def test_build_witness_text_is_pinned(tmp_path, capsys, text, mode, expected):
+    src = tmp_path / "in.dg"
+    src.write_text(text)
+    wfile = tmp_path / "w.txt"
+    assert main(["build", "--input", str(src), "--mode", mode,
+                 "--witnesses", str(wfile)]) == 0
+    assert wfile.read_text() == expected
+    capsys.readouterr()
+
+
+def test_build_svg_with_no_points(tmp_path, capsys):
+    src = tmp_path / "empty.dg"
+    src.write_text("mode homothet\nshape 1\n0 1 1 closed\npoints 0\n")
+    sfile = tmp_path / "g.svg"
+    assert main(["build", "--input", str(src), "--svg", str(sfile)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "<circle" not in sfile.read_text()
+
+
 def test_verify_ok(capsys, good_file):
     assert main(["verify", "--input", good_file]) == 0
     out = capsys.readouterr().out
@@ -113,6 +141,12 @@ def test_usage_error_exit_code_1(capsys):
     (["fuzz", "--trials", "1", "--seed", "1", "--max-halfplanes", "0"],
      "--max-halfplanes"),
     (["triangulate-check", "--trials", "-1", "--seed", "1"], "--trials"),
+    (["fuzz", "--trials", "0", "--seed", "1", "--open-fraction", "2"],
+     "--open-fraction"),
+    (["fuzz", "--trials", "0", "--seed", "1", "--open-fraction=-1/2"],
+     "--open-fraction"),
+    (["fuzz", "--trials", "1", "--seed", "1", "--open-fraction", "abc"],
+     "--open-fraction"),
 ])
 def test_bad_count_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -173,7 +173,7 @@ def test_clear_denominators_of_nothing_is_scale_1():
 def _old_int_row(c):
     scale = lcm(*(v.denominator for v in c.coeffs), c.bound.denominator)
     a = tuple(int(v * scale) for v in c.coeffs)
-    return (a, int(c.bound * scale), scale if c.strict else 0, scale)
+    return (a, int(c.bound * scale), scale if c.strict else 0)
 
 
 def _old_shape_rows(shape):
@@ -209,4 +209,4 @@ def test_integer_forms_match_the_former_inline_formulas():
         for mode in MODES:
             cons = [c for p in pts for c in membership_constraints(inst.shape, p, mode)]
             for c in cons + [region.negate(c) for c in cons]:
-                assert region._int_row(c) == _old_int_row(c)
+                assert c.row == _old_int_row(c)

@@ -137,7 +137,7 @@ def boundary_by_all_assignments(points, shape, quad) -> bool:
         return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
 
     def search(region, depth):
-        if not feasible(region):
+        if feasible(region) is None:
             return False
         return depth == len(mems) or any(
             search(region.with_constraints([tight(c)]), depth + 1)

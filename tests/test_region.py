@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delgraphs.region import (ConvexRegion, LinearConstraint, constraint,
-                              feasible, feasible_with_hint, negate, subtract)
+                              feasible, feasible_with_hint, negate)
 from oracle_lp import oracle_feasible
 
 F = Fraction
@@ -17,7 +19,7 @@ def region2(*cons):
 def test_feasible_contradictory_bounds_empty():
     # x >= 0 and x <= -1
     r = region2(constraint((-1, 0), 0), constraint((1, 0), -1))
-    assert not feasible(r).nonempty
+    assert feasible(r) is None
 
 
 def test_feasible_open_strip_witness_and_slack():
@@ -27,36 +29,31 @@ def test_feasible_open_strip_witness_and_slack():
             ((F(0), F(-1)), F(0), False), ((F(0), F(1)), F(0), False)]
     ora_ok, ora_slack = oracle_feasible(cons)
     assert ora_ok and ora_slack == F(1, 2)
-    res = feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons)))
-    assert res.nonempty
-    assert res.witness == (F(1, 2), F(0))
-    assert res.slack == F(1, 2)
+    assert feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons))) \
+        == (F(1, 2), F(0))
 
 
 def test_feasible_pinned_to_open_boundary_empty():
     # x <= 0, x >= 0 force x = 0 but -x < 0 requires x > 0
     r = region2(constraint((1, 0), 0), constraint((-1, 0), 0),
                 constraint((-1, 0), 0, True))
-    assert not feasible(r).nonempty
+    assert feasible(r) is None
 
 
 def test_feasible_no_constraints_whole_space():
-    res = feasible(region2())
-    assert res.nonempty and res.witness == (F(0), F(0)) and res.slack is None
+    assert feasible(region2()) == (F(0), F(0))
 
 
 def test_feasible_unbounded_region_with_strict():
-    res = feasible(region2(constraint((0, -1), -3, True)))  # y > 3
-    assert res.nonempty
-    assert res.witness[1] > 3
-    assert res.slack is not None and res.slack > 0
+    x = feasible(region2(constraint((0, -1), -3, True)))  # y > 3
+    assert x is not None and x[1] > 3
 
 
 def test_feasible_equality_pair_line():
     # y == 2 as two opposing non-strict constraints
     r = region2(constraint((0, 1), 2), constraint((0, -1), -2))
-    res = feasible(r)
-    assert res.nonempty and res.witness[1] == 2
+    x = feasible(r)
+    assert x is not None and x[1] == 2
 
 
 def test_witness_round_trip_randomized():
@@ -70,12 +67,10 @@ def test_witness_round_trip_randomized():
                 a = (F(1), F(0))
             cons.append(LinearConstraint(a, F(rng.randint(-6, 6), rng.randint(1, 4)),
                                          rng.random() < 0.4))
-        res = feasible(region2(*cons))
-        if res.nonempty:
+        x = feasible(region2(*cons))
+        if x is not None:
             for c in cons:
-                assert c.satisfied_by(res.witness)
-            if any(c.strict for c in cons):
-                assert res.slack > 0
+                assert c.satisfied_by(x)
 
 
 def test_feasible_matches_bruteforce_oracle():
@@ -88,9 +83,27 @@ def test_feasible_matches_bruteforce_oracle():
                 a = (F(0), F(1))
             cons.append((a, F(rng.randint(-7, 7), rng.randint(1, 2)),
                          rng.random() < 0.5))
-        res = feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons)))
+        x = feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons)))
         ora, _ = oracle_feasible(cons)
-        assert res.nonempty == ora, cons
+        assert (x is not None) == ora, cons
+
+
+frac = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+halfplanes = st.tuples(st.tuples(frac, frac).filter(any), frac, st.booleans())
+
+
+@given(st.lists(halfplanes, max_size=5), frac, frac, st.data())
+def test_contains_point_agrees_with_satisfied_by(rows, u, v, data):
+    cons = [LinearConstraint(a, b, strict) for a, b, strict in rows]
+    x = (u, v)
+    if cons:
+        # put the point on the boundary line a.x == b of one row, so the
+        # strict/closed distinction decides membership
+        (a0, a1), b, _ = rows[data.draw(st.integers(0, len(rows) - 1))]
+        if data.draw(st.booleans()):
+            x = ((b - a1 * v) / a0, v) if a0 else (u, (b - a0 * u) / a1)
+    r = region2(*cons)
+    assert r.contains_point(x) == all(c.satisfied_by(x) for c in cons)
 
 
 def test_negate_strictness_duality():
@@ -126,60 +139,6 @@ def test_bad_dimension_rejected():
         ConvexRegion(2, (constraint((1, 0, 0), 1),))
 
 
-UNIT_SQUARE = (constraint((1, 0), 1), constraint((-1, 0), 0),
-               constraint((0, 1), 1), constraint((0, -1), 0))
-
-
-def square_cell(lo, hi):
-    return region2(constraint((1, 0), hi), constraint((-1, 0), -lo),
-                   constraint((0, 1), hi), constraint((0, -1), -lo))
-
-
-def test_subtract_single_halfplane_hole():
-    cells = subtract([square_cell(0, 1)], [constraint((1, 0), F(1, 2))])
-    assert len(cells) == 1
-    res = feasible(cells[0])
-    assert res.nonempty and res.witness[0] > F(1, 2)
-
-
-def test_subtract_full_cover_empty():
-    assert subtract([square_cell(0, 1)], list(square_cell(0, 1).constraints)) == []
-
-
-def test_subtract_interior_hole_four_cells_and_sampling():
-    # [0,3]^2 minus [1,2]^2: 4 disjoint cells; verified below against 10^4
-    # random rational points classified independently
-    outer = square_cell(0, 3)
-    hole = list(square_cell(1, 2).constraints)
-    cells = subtract([outer], hole)
-    assert len(cells) == 4
-
-    rng = random.Random(99)
-    for _ in range(10_000):
-        x = (F(rng.randint(-2, 14), 4), F(rng.randint(-2, 14), 4))
-        in_outer = outer.contains_point(x)
-        in_hole = all(c.satisfied_by(x) for c in hole)
-        in_cells = [cell.contains_point(x) for cell in cells]
-        assert sum(in_cells) <= 1  # disjoint
-        assert (in_outer and not in_hole) == any(in_cells)
-
-
-def test_subtract_pairwise_disjoint_by_lp():
-    outer = square_cell(0, 3)
-    cells = subtract([outer], list(square_cell(1, 2).constraints))
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            merged = cells[a].with_constraints(cells[b].constraints)
-            assert not feasible(merged).nonempty
-
-
-def test_subtract_dimension_mismatch():
-    with pytest.raises(ValueError):
-        subtract([square_cell(0, 1)], [constraint((1, 0, 0), 1)])
-    with pytest.raises(ValueError):
-        subtract([ConvexRegion(3, ())], [constraint((1, 0), 1)])
-
-
 def test_feasible_with_hint_agrees_with_feasible():
     rng = random.Random(321)
     for _ in range(200):
@@ -191,4 +150,4 @@ def test_feasible_with_hint_agrees_with_feasible():
             cons.append(LinearConstraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
         r = region2(*cons)
         hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
-        assert feasible_with_hint(r, hint).nonempty == feasible(r).nonempty
+        assert (feasible_with_hint(r, hint) is None) == (feasible(r) is None)

@@ -60,7 +60,7 @@ def test_membership_constraints_origin_homothet():
 def test_membership_constraints_empty_shape_always_infeasible():
     for p in (point(0, 0), point(5, -3), point(F(1, 3), F(7, 2))):
         cons = membership_constraints(EMPTY_SHAPE, p, TRANSLATE)
-        assert not feasible(ConvexRegion(2, tuple(cons))).nonempty
+        assert feasible(ConvexRegion(2, tuple(cons))) is None
 
 
 def test_unknown_mode_rejected():

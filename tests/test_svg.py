@@ -20,6 +20,12 @@ def test_single_point_one_circle():
     assert 'version="1.1"' in svg
 
 
+def test_no_points_no_circles():
+    svg = render_svg(GeometricGraph(PointSet(()), SQ, HOMOTHET, ()))
+    assert svg.count("<circle") == 0
+    assert 'viewBox="-1.000000 -1.000000 2.000000 2.000000"' in svg
+
+
 def test_four_cycle_counts():
     P = PointSet((point(0, 0), point(2, 0), point(0, 2), point(2, 2)))
     g = build_graph(P, SQ, HOMOTHET)
