@@ -13,6 +13,17 @@ clearing factor so the feasible (x, s) set is exactly that of the
 unscaled problem.  The dictionary simplex below uses Bland's rule with
 ties broken by lowest variable index, so it cannot cycle and is fully
 deterministic.
+
+Dictionary convention: row i of ``tab``/``rhs`` reads
+``basic_i = rhs_i - tab_i . nonbasic``.  The objective is the last row,
+stored the same way, so ``z = rhs[-1] - tab[-1] . nonbasic`` keeps its
+coefficients negated: a slot may enter while ``tab[-1]`` is negative there,
+and every pivot updates the objective with the other rows.  One Bland loop
+serves both phases.  Phase I appends an auxiliary column of -1s and
+maximizes -aux.  If aux is still basic at its end, its row has a nonzero
+entry on some nonbasic slot: each row is ``y . [A | I | -1]`` for some
+multipliers y, every slack column is still present, so a row reading
+``aux = rhs`` alone would force y = 0.
 """
 
 from __future__ import annotations
@@ -46,23 +57,21 @@ def solve_slack_lp(dim, rows):
     rhs = []
     for a, b, sigma in rows:
         row = [Fraction(c) for c in a]
-        row += [-c for c in row[:dim]]
-        row.append(Fraction(sigma))
-        tab.append(row)
+        tab.append(row + [-c for c in row] + [Fraction(sigma)])
         rhs.append(Fraction(b))
-    # cap row: s <= 1
-    cap = [_ZERO] * nvar
-    cap[s_id] = _ONE
-    tab.append(cap)
+    tab.append([_ZERO] * s_id + [_ONE])  # cap row: s <= 1
     rhs.append(_ONE)
 
     m = len(tab)
     nonbasic = list(range(nvar))
-    basic = [nvar + i for i in range(m)]
+    basic = list(range(nvar, nvar + m))
+
+    def lowest(slots):
+        # Bland's rule: the slot holding the lowest variable id, or -1
+        return min(slots, key=nonbasic.__getitem__, default=-1)
 
     def pivot(r, e):
-        piv = tab[r][e]
-        inv = 1 / piv
+        inv = 1 / tab[r][e]
         row = tab[r]
         for j in range(len(row)):
             row[j] = row[j] * inv
@@ -81,102 +90,60 @@ def solve_slack_lp(dim, rows):
             rhs[i] = rhs[i] - f * rhs[r]
         nonbasic[e], basic[r] = basic[r], nonbasic[e]
 
-    def bland(obj, obj0):
-        # obj: coefficients over nonbasic slots; returns final (obj, obj0)
-        while True:
-            e = -1
-            e_id = None
-            for j in range(len(nonbasic)):
-                if obj[j] > 0 and (e_id is None or nonbasic[j] < e_id):
-                    e = j
-                    e_id = nonbasic[j]
-            if e < 0:
-                return obj, obj0
+    def bland():
+        # maximize the objective tab[-1] (stored negated); return its optimum
+        obj = tab[-1]
+        while (e := lowest(j for j in range(len(obj)) if obj[j] < 0)) >= 0:
             r = -1
-            best = None
-            r_id = None
-            for i in range(len(tab)):
+            for i in range(len(tab) - 1):
                 coef = tab[i][e]
                 if coef > 0:
                     ratio = rhs[i] / coef
-                    if best is None or ratio < best or (ratio == best and basic[i] < r_id):
+                    if r < 0 or ratio < best or (ratio == best and basic[i] < basic[r]):
                         best = ratio
                         r = i
-                        r_id = basic[i]
             if r < 0:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
-            f = obj[e]
             pivot(r, e)
-            row = tab[r]
-            for j in range(len(obj)):
-                obj[j] = obj[j] - f * row[j]
-            obj[e] = -f * row[e]
-            obj0 = obj0 + f * rhs[r]
+        return rhs[-1]
 
-    # Phase I: if some rhs is negative, bring in the auxiliary variable.
-    worst = 0
-    for i in range(1, m):
-        if rhs[i] < rhs[worst]:
-            worst = i
+    # Phase I: entering aux on the first row with the least rhs makes every rhs >= 0.
+    worst = min(range(m), key=rhs.__getitem__)
     if rhs[worst] < 0:
         aux_id = nvar + m
         for row in tab:
             row.append(Fraction(-1))
         nonbasic.append(aux_id)
-        obj = [_ZERO] * len(nonbasic)
-        obj[-1] = Fraction(-1)
-        obj0 = _ZERO
-        # special first pivot makes every rhs nonnegative
-        e = len(nonbasic) - 1
-        r = worst
-        for i in range(m):
-            if rhs[i] < rhs[r] or (rhs[i] == rhs[r] and basic[i] < basic[r]):
-                r = i
-        f = obj[e]
-        pivot(r, e)
-        row = tab[r]
-        for j in range(len(obj)):
-            obj[j] = obj[j] - f * row[j]
-        obj[e] = -f * tab[r][e]
-        obj0 = obj0 + f * rhs[r]
-
-        obj, obj0 = bland(obj, obj0)
-        if obj0 < 0:
+        tab.append([_ZERO] * nvar + [_ONE])
+        rhs.append(_ZERO)
+        pivot(worst, nvar)
+        if bland() < 0:
             return False, None, None
+        del tab[-1], rhs[-1]
         if aux_id in basic:
             r = basic.index(aux_id)
-            e = -1
-            e_id = None
-            for j in range(len(nonbasic)):
-                if tab[r][j] != 0 and (e_id is None or nonbasic[j] < e_id):
-                    e = j
-                    e_id = nonbasic[j]
+            e = lowest(j for j in range(len(nonbasic)) if tab[r][j] != 0)
             if e < 0:
-                # row reads aux = 0 with no dependence: drop it
-                del tab[r], rhs[r], basic[r]
-            else:
-                pivot(r, e)
+                raise LPError("auxiliary row vanished on every nonbasic slot")
+            pivot(r, e)
         slot = nonbasic.index(aux_id)
         del nonbasic[slot]
         for row in tab:
             del row[slot]
 
     # Phase II: maximize s in the current dictionary.
-    obj = [_ZERO] * len(nonbasic)
-    obj0 = _ZERO
     if s_id in basic:
         r = basic.index(s_id)
-        obj = [-c for c in tab[r]]
-        obj0 = rhs[r]
+        tab.append(list(tab[r]))
+        rhs.append(rhs[r])
     else:
-        obj[nonbasic.index(s_id)] = _ONE
-    obj, obj0 = bland(obj, obj0)
+        tab.append([-_ONE if v == s_id else _ZERO for v in nonbasic])
+        rhs.append(_ZERO)
+    s = bland()
 
-    val = {}
-    for i, vid in enumerate(basic):
-        val[vid] = rhs[i]
+    val = dict(zip(basic, rhs))
     x = tuple(val.get(j, _ZERO) - val.get(dim + j, _ZERO) for j in range(dim))
-    return True, x, obj0
+    return True, x, s
 
 
 # ---------------------------------------------------------------------------

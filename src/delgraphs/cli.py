@@ -61,10 +61,14 @@ def _probability(text: str) -> Fraction:
 
 def _read_instance(path: str) -> Instance:
     """Read and parse an instance file.  ``OSError`` and ``ParseError``
-    propagate to ``main()``, which reports them with the path and
-    returns exit code 1."""
+    (also raised for text that is not UTF-8) propagate to ``main()``,
+    which reports them with the path and returns exit code 1."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from None
+    return parse_instance(text)
 
 
 def _witness_lines(g) -> str:

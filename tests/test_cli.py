@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import delgraphs
 from delgraphs.cli import main, run_fuzz, run_triangulate_check
 
 GOOD = """\
@@ -115,6 +118,13 @@ def test_file_errors_print_one_line_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {bad}: line {line_no}: zero denominator in '1/0'"]
 
+    latin = tmp_path / "latin.dg"
+    latin.write_bytes(GOOD.encode() + b"\xff\n")
+    assert main(["build", "--input", str(latin)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {latin}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{len(GOOD)}: invalid start byte"]
+
     missing = tmp_path / "missing.dg"
     assert main(["build", "--input", str(missing)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -173,8 +183,12 @@ def test_fuzz_summary_reproducible():
 def test_fuzz_cli_reproducible_across_processes(tmp_path):
     cmd = [sys.executable, "-m", "delgraphs.cli", "fuzz", "--trials", "8",
            "--seed", "3", "--max-points", "5", "--max-halfplanes", "4"]
-    r1 = subprocess.run(cmd, capture_output=True, text=True)
-    r2 = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports the package this test imported, found on PYTHONPATH
+    src = str(Path(delgraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout  # stderr carries timing, stdout must match
 
