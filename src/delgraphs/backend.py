@@ -1,5 +1,5 @@
 """The exact kernels: the slack-maximizing simplex and the
-placement-sampling sweep.  All arithmetic is exact rational.
+placement-sampling sweep.  Floats only propose; every decision is exact.
 
 The LP solved here, for constraint rows ``a.x (<|<=) b`` over x in Q^dim:
 
@@ -24,16 +24,29 @@ maximizes -aux.  If aux is still basic at its end, its row has a nonzero
 entry on some nonbasic slot: each row is ``y . [A | I | -1]`` for some
 multipliers y, every slack column is still present, so a row reading
 ``aux = rhs`` alone would force y = 0.
+
+Certified early exit: before the exact simplex, the same dictionary runs
+Phase I on floats (sign tests to 1e-9, a pivot cap).  If that ends below
+zero, the objective row holds at each row's slack slot its Farkas
+multiplier, and the rows with a positive one (never the cap row) are the
+proposed support S.  ``farkas_weights`` decides S exactly: integer y >= 0
+with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
+would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
+sigma >= 0.  Otherwise the exact simplex decides alone, so the floats
+change only the speed, never an answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .rng import SplitMix64
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_FLOAT_EPS = 1e-9
+_FLOAT_PIVOTS = 200  # float Phase I cap; the benchmark's LPs need at most 14
 
 
 def backend_name() -> str:
@@ -44,94 +57,147 @@ class LPError(RuntimeError):
     """Internal simplex invariant violated (never expected on valid input)."""
 
 
-def solve_slack_lp(dim, rows):
-    """Maximize the strict-constraint slack over integer rows.
+class _Dictionary:
+    """The slack LP as a simplex dictionary over one number type: ``num``
+    converts the integer data (``Fraction`` decides, ``float`` proposes) and
+    ``eps`` is the tolerance of every sign test (0 when exact)."""
 
-    rows: sequence of (a: tuple of int, b: int, sigma: int).
-    Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None).
-    """
-    nvar = 2 * dim + 1  # x_j split into u_j - v_j, plus the slack s
-    s_id = 2 * dim
+    def __init__(self, dim, rows, num, eps):
+        nvar = 2 * dim + 1  # x_j split into u_j - v_j, plus the slack s
+        self.num, self.eps = num, eps
+        self.tab, self.rhs = [], []  # row i: coefficients over nonbasic slots
+        for a, b, sigma in rows:
+            row = [num(c) for c in a]
+            self.tab.append(row + [-c for c in row] + [num(sigma)])
+            self.rhs.append(num(b))
+        self.tab.append([num(0)] * (nvar - 1) + [num(1)])  # cap row: s <= 1
+        self.rhs.append(num(1))
+        self.nonbasic = list(range(nvar))
+        self.basic = list(range(nvar, nvar + len(self.tab)))
 
-    tab = []  # row i: coefficients over nonbasic slots
-    rhs = []
-    for a, b, sigma in rows:
-        row = [Fraction(c) for c in a]
-        tab.append(row + [-c for c in row] + [Fraction(sigma)])
-        rhs.append(Fraction(b))
-    tab.append([_ZERO] * s_id + [_ONE])  # cap row: s <= 1
-    rhs.append(_ONE)
-
-    m = len(tab)
-    nonbasic = list(range(nvar))
-    basic = list(range(nvar, nvar + m))
-
-    def lowest(slots):
+    def lowest(self, slots):
         # Bland's rule: the slot holding the lowest variable id, or -1
-        return min(slots, key=nonbasic.__getitem__, default=-1)
+        return min(slots, key=self.nonbasic.__getitem__, default=-1)
 
-    def pivot(r, e):
-        inv = 1 / tab[r][e]
+    def pivot(self, r, e):
+        tab, rhs = self.tab, self.rhs
         row = tab[r]
-        for j in range(len(row)):
-            row[j] = row[j] * inv
+        inv = 1 / row[e]
+        row[:] = [v * inv for v in row]
         row[e] = inv
         rhs[r] = rhs[r] * inv
-        for i in range(len(tab)):
-            if i == r:
+        for i, other in enumerate(tab):
+            if i == r or not (f := other[e]):
                 continue
-            f = tab[i][e]
-            if f == 0:
-                continue
-            other = tab[i]
-            for j in range(len(row)):
-                other[j] = other[j] - f * row[j]
+            other[:] = [o - f * v for o, v in zip(other, row)]
             other[e] = -f * inv
             rhs[i] = rhs[i] - f * rhs[r]
-        nonbasic[e], basic[r] = basic[r], nonbasic[e]
+        self.nonbasic[e], self.basic[r] = self.basic[r], self.nonbasic[e]
 
-    def bland():
-        # maximize the objective tab[-1] (stored negated); return its optimum
+    def bland(self, limit=None):
+        """Maximize the objective tab[-1] (stored negated) and return its
+        optimum; raise LPError after ``limit`` pivots."""
+        tab, rhs, basic, eps = self.tab, self.rhs, self.basic, self.eps
         obj = tab[-1]
-        while (e := lowest(j for j in range(len(obj)) if obj[j] < 0)) >= 0:
-            r = -1
-            for i in range(len(tab) - 1):
-                coef = tab[i][e]
-                if coef > 0:
-                    ratio = rhs[i] / coef
-                    if r < 0 or ratio < best or (ratio == best and basic[i] < basic[r]):
-                        best = ratio
-                        r = i
+        steps = 0
+        while (e := self.lowest(j for j in range(len(obj)) if obj[j] < -eps)) >= 0:
+            if steps == limit:
+                raise LPError("pivot cap reached")
+            steps += 1
+            # ratio test, ties to the lowest basic id
+            r = min((i for i in range(len(tab) - 1) if tab[i][e] > eps),
+                    key=lambda i: (rhs[i] / tab[i][e], basic[i]), default=-1)
             if r < 0:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
-            pivot(r, e)
+            self.pivot(r, e)
         return rhs[-1]
 
-    # Phase I: entering aux on the first row with the least rhs makes every rhs >= 0.
-    worst = min(range(m), key=rhs.__getitem__)
-    if rhs[worst] < 0:
-        aux_id = nvar + m
+    def phase_one(self, limit=None):
+        """Phase I: return the optimum of -aux, 0 when no rhs is negative.
+        Unless it is negative, aux then leaves the dictionary."""
+        tab, rhs, nonbasic, num = self.tab, self.rhs, self.nonbasic, self.num
+        worst = min(range(len(tab)), key=rhs.__getitem__)
+        if rhs[worst] >= 0:
+            return 0
+        nvar, aux_id = len(nonbasic), len(nonbasic) + len(tab)
         for row in tab:
-            row.append(Fraction(-1))
+            row.append(num(-1))
         nonbasic.append(aux_id)
-        tab.append([_ZERO] * nvar + [_ONE])
-        rhs.append(_ZERO)
-        pivot(worst, nvar)
-        if bland() < 0:
-            return False, None, None
+        tab.append([num(0)] * nvar + [num(1)])
+        rhs.append(num(0))
+        self.pivot(worst, nvar)  # aux enters on the first row of least rhs
+        z = self.bland(limit)
+        if z < -self.eps:
+            return z
         del tab[-1], rhs[-1]
-        if aux_id in basic:
-            r = basic.index(aux_id)
-            e = lowest(j for j in range(len(nonbasic)) if tab[r][j] != 0)
+        if aux_id in self.basic:
+            r = self.basic.index(aux_id)
+            e = self.lowest(j for j in range(len(nonbasic)) if tab[r][j] != 0)
             if e < 0:
                 raise LPError("auxiliary row vanished on every nonbasic slot")
-            pivot(r, e)
+            self.pivot(r, e)
         slot = nonbasic.index(aux_id)
         del nonbasic[slot]
         for row in tab:
             del row[slot]
+        return z
+
+
+def _farkas_support(dim, rows):
+    """Float Phase I's proposed support of a Farkas certificate (row indices),
+    or None when the floats see the LP feasible or fail (overflow, cap)."""
+    try:
+        lp = _Dictionary(dim, rows, float, _FLOAT_EPS)
+        if not lp.phase_one(_FLOAT_PIVOTS) < -_FLOAT_EPS:
+            return None
+    except (OverflowError, LPError):
+        return None
+    first = 2 * dim + 1  # variable id of row 0's slack
+    return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
+                  if first <= v < first + len(rows) and y > _FLOAT_EPS)
+
+
+def farkas_weights(rows):
+    """Integer y >= 0 with y.A = 0 and y.b < 0, proving that no (x, s >= 0)
+    meets a.x + sigma*s <= b on all ``rows`` (a, b, sigma >= 0).  None when
+    there is no such y or it is not unique up to scale (rank-deficient)."""
+    k = len(rows)
+    cols = [[a[j] for a, _, _ in rows] for j in range(len(rows[0][0]))]
+    # The null vector of k - 1 independent equations y.A[:, j] = 0 is the
+    # vector of their signed maximal minors.
+    minors = ([(-1) ** i * _det([c[:i] + c[i + 1:] for c in eqs]) for i in range(k)]
+              for eqs in combinations(cols, k - 1))
+    y = next(filter(any, minors), [0])  # y = 0 fails y.b < 0 below
+    if min(y) < 0:
+        y = [-v for v in y]
+    if (min(y) < 0 or any(sum(v * c for v, c in zip(y, col)) for col in cols)
+            or sum(v * b for v, (_, b, _) in zip(y, rows)) >= 0):
+        return None
+    return tuple(y)
+
+
+def _det(m):
+    """Determinant of a small square integer matrix (Laplace expansion)."""
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j]) if m else 1
+
+
+def solve_slack_lp(dim, rows):
+    """Maximize the strict-constraint slack over integer rows.
+
+    rows: sequence of (a: tuple of int, b: int, sigma: int >= 0).
+    Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None).
+    """
+    support = _farkas_support(dim, rows)
+    if support and farkas_weights([rows[i] for i in support]) is not None:
+        return False, None, None
+    lp = _Dictionary(dim, rows, Fraction, 0)
+    if lp.phase_one() < 0:
+        return False, None, None
 
     # Phase II: maximize s in the current dictionary.
+    tab, rhs, nonbasic, basic = lp.tab, lp.rhs, lp.nonbasic, lp.basic
+    s_id = 2 * dim
     if s_id in basic:
         r = basic.index(s_id)
         tab.append(list(tab[r]))
@@ -139,7 +205,7 @@ def solve_slack_lp(dim, rows):
     else:
         tab.append([-_ONE if v == s_id else _ZERO for v in nonbasic])
         rhs.append(_ZERO)
-    s = bland()
+    s = lp.bland()
 
     val = dict(zip(basic, rhs))
     x = tuple(val.get(j, _ZERO) - val.get(dim + j, _ZERO) for j in range(dim))

@@ -27,7 +27,7 @@ class WitnessVerificationError(AssertionError):
     internal invariant violation, never a data error."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointSet:
     points: tuple[Point2, ...]
 
@@ -42,14 +42,14 @@ class PointSet:
         return self.points[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     i: int
     j: int
     witness: Placement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometricGraph:
     points: PointSet
     shape: ConvexShape
@@ -62,7 +62,7 @@ class GeometricGraph:
 
 def _witness_from(x: tuple[Fraction, ...], mode: str) -> Placement:
     if mode == TRANSLATE:
-        return Placement((x[0], x[1]), Fraction(1))
+        return Placement((x[0], x[1]))  # the shared default scale 1
     return Placement((x[0], x[1]), x[2])
 
 

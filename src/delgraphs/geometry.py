@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     x: Fraction
     y: Fraction
@@ -29,7 +29,7 @@ def point(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     a: Point2
     b: Point2

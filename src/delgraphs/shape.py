@@ -21,7 +21,7 @@ HOMOTHET = "homothet"
 MODES = (TRANSLATE, HOMOTHET)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfPlane:
     """a.x <= b (or < b when strict)."""
 
@@ -34,7 +34,7 @@ class HalfPlane:
             raise ValueError("half-plane normal must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexShape:
     halfplanes: tuple[HalfPlane, ...]
 
@@ -46,7 +46,7 @@ def shape_from_rows(rows) -> ConvexShape:
         for ax, ay, b, strict in rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     translation: tuple[Fraction, Fraction]
     scale: Fraction = Fraction(1)

@@ -1,7 +1,10 @@
 """The exact slack LP kernel, called directly: its optimum against the
-brute-force oracle, and its answers pinned over a fixed set of runs."""
+brute-force oracle, its answers pinned over a fixed set of runs, and the
+certified early exit for infeasible LPs (the float proposal may change
+the speed, never an answer)."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -62,10 +65,14 @@ PINNED_CALLS = 1322
 PINNED_SHA256 = "0cf117b8c251541578a8d6677c72442a186c0b753a272a90fcf41636cc03b5cb"
 
 
-def test_kernel_answers_are_pinned(monkeypatch):
+def _run_pinned(monkeypatch):
+    """(calls, SHA-256 of every call and answer, certified exits) over the
+    pinned builds and boundary scan."""
     digest = hashlib.sha256()
     calls = []
+    certified = []
     solve = backend.solve_slack_lp
+    weights = backend.farkas_weights
 
     def recording(dim, rows):
         answer = solve(dim, rows)
@@ -73,10 +80,146 @@ def test_kernel_answers_are_pinned(monkeypatch):
         digest.update(repr((dim, list(rows), answer)).encode())
         return answer
 
+    def counting(rows):
+        y = weights(rows)
+        if y is not None:
+            certified.append(y)
+        return y
+
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
+    monkeypatch.setattr(backend, "farkas_weights", counting)
     for inst in PINNED_BUILDS:
         for mode in MODES:
             build_graph(inst.points, inst.shape, mode)
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
-    assert (len(calls), digest.hexdigest()) == (PINNED_CALLS, PINNED_SHA256)
+    return len(calls), digest.hexdigest(), len(certified)
+
+
+def test_kernel_answers_are_pinned(monkeypatch):
+    calls, sha, certified = _run_pinned(monkeypatch)
+    assert (calls, sha) == (PINNED_CALLS, PINNED_SHA256)
+    assert certified > 0  # the certified exit is taken on these builds
+
+
+def _feasible_subset(dim, rows):
+    return [i for i, (_, b, _) in enumerate(rows) if b >= 0]  # x = 0, s = 0
+
+
+# Wrong proposals: none, every row, rows that x = 0 satisfies, random rows.
+WRONG_PROPOSERS = {
+    "empty": lambda dim, rows: [],
+    "all-rows": lambda dim, rows: list(range(len(rows))),
+    "feasible-subset": _feasible_subset,
+    "shuffled-subset": lambda dim, rows: random.Random(len(rows)).sample(
+        range(len(rows)), min(dim + 1, len(rows))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
+def test_float_proposal_changes_no_answer(monkeypatch, name):
+    monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
+    calls, sha, _ = _run_pinned(monkeypatch)
+    assert (calls, sha) == (PINNED_CALLS, PINNED_SHA256)
+
+
+def _is_certificate(rows, y):
+    dim = len(rows[0][0])
+    return (min(y) >= 0 and max(y) > 0
+            and all(sum(v * a[j] for v, (a, _, _) in zip(y, rows)) == 0 for j in range(dim))
+            and sum(v * b for v, (_, b, _) in zip(y, rows)) < 0)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([((1, 0), -1, 0), ((-1, 0), 0, 1)], (1, 1)),  # opposed: x <= -1, x >= 0
+    ([((2, 0), -1, 0), ((-3, 0), 0, 0)], (3, 2)),
+    ([((1, 0), 0, 1), ((0, 1), 0, 0), ((-1, -1), -1, 2)], (1, 1, 1)),
+    ([((1, 0, 0), 0, 0), ((0, 1, 0), 0, 1), ((0, 0, 1), 0, 0),
+      ((-1, -1, -1), -1, 1)], (1, 1, 1, 1)),
+])
+def test_farkas_weights_accepts_a_true_certificate(rows, expected):
+    y = backend.farkas_weights(rows)
+    assert y is not None and _is_certificate(rows, y)
+    assert all(v * expected[0] == e * y[0] for v, e in zip(y, expected))
+    assert backend.solve_slack_lp(len(rows[0][0]), rows) == (False, None, None)
+
+
+@pytest.mark.parametrize("rows", [
+    # the only y with y.A = 0 has a negative weight: (1, 1, -1)
+    [((1, 0), -1, 0), ((0, 1), -1, 0), ((1, 1), 5, 0)],
+    # independent rows: no y != 0 has y.A = 0
+    [((1, 0), -1, 0), ((0, 1), -1, 0)],
+    [((1, 0, 0), -1, 0), ((0, 1, 0), -1, 0), ((0, 0, 1), -1, 0), ((1, 1, 0), -1, 0)],
+    # y.b >= 0: a slab and a plane, both nonempty
+    [((1, 0), 1, 0), ((-1, 0), 0, 0)],
+    [((1, 0), 0, 0), ((-1, 0), 0, 1)],
+    # rank-deficient: three parallel rows, y not unique (though infeasible)
+    [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)],
+])
+def test_farkas_weights_rejects(rows):
+    assert backend.farkas_weights(rows) is None
+
+
+def _float_values(dim, rows):
+    lp = backend._Dictionary(dim, rows, float, backend._FLOAT_EPS)
+    try:
+        lp.phase_one(backend._FLOAT_PIVOTS)
+    except backend.LPError:
+        pass
+    return [v for row in lp.tab for v in row] + lp.rhs
+
+
+def _assert_matches_oracle(dim, rows):
+    ok, x, s = backend.solve_slack_lp(dim, rows)
+    _, best = oracle_feasible(rows, dim)
+    assert ok == (best is not None) and s == best
+
+
+H = 10 ** 200  # products of two such entries overflow a float to inf
+BIG = 10 ** 400  # float() of this raises OverflowError
+
+
+@pytest.mark.parametrize("dim, rows", [
+    (2, [((BIG, 0), -BIG, 0), ((-BIG, 0), 0, 1)]),  # x <= -1, x >= 0
+    (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
+])
+def test_float_overflow_falls_back(dim, rows):
+    assert backend._farkas_support(dim, rows) is None
+    _assert_matches_oracle(dim, rows)
+
+
+@pytest.mark.parametrize("dim, rows", [
+    (2, [((-1, H), -1, 0), ((0, 1), -1, 1), ((2 * H, H), -1, 1)]),  # empty
+    (2, [((-H, 2), -1, 0), ((-1, 2 * H), -2, 0)]),  # nonempty
+])
+def test_nonfinite_float_values_fall_back(dim, rows):
+    assert not all(math.isfinite(v) for v in _float_values(dim, rows))
+    _assert_matches_oracle(dim, rows)
+
+
+def test_nearly_parallel_rows_fall_back():
+    # 10**17 and 10**17 + 1 round to the same float, so the floats see two
+    # opposed parallel rows and propose both; exactly they are independent.
+    big = 10 ** 17
+    rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
+    assert backend._farkas_support(2, rows) == [0, 1]
+    assert backend.farkas_weights(rows) is None
+    _assert_matches_oracle(2, rows)
+    # Here the float ratio test finds no pivot row (an unbounded claim).
+    rows = [((-100000001, 300000001, -1), -3, 0), ((-100000001, 299999999, -2), 1, 0),
+            ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
+            ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),
+            ((-99999999, 300000000, 1), -3, 0), ((-100000002, -300000002, 1), 4, 0)]
+    assert backend._farkas_support(3, rows) is None
+    _assert_matches_oracle(3, rows)
+
+
+def test_float_pivot_cap_falls_back(monkeypatch):
+    monkeypatch.setattr(backend, "_FLOAT_PIVOTS", 0)
+    rng = random.Random(4881)
+    capped = 0
+    for _ in range(150):
+        rows = _random_rows(rng, 2, 4)
+        capped += backend._farkas_support(2, rows) is None and any(b < 0 for _, b, _ in rows)
+        _assert_matches_oracle(2, rows)
+    assert capped > 0

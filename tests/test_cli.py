@@ -180,17 +180,30 @@ def test_fuzz_summary_reproducible():
     assert s1 == s2 and v1 == v2 and not v1
 
 
-def test_fuzz_cli_reproducible_across_processes(tmp_path):
-    cmd = [sys.executable, "-m", "delgraphs.cli", "fuzz", "--trials", "8",
-           "--seed", "3", "--max-points", "5", "--max-halfplanes", "4"]
+def _child_env():
     # the child imports the package this test imported, found on PYTHONPATH
     src = str(Path(delgraphs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_fuzz_cli_reproducible_across_processes(tmp_path):
+    cmd = [sys.executable, "-m", "delgraphs.cli", "fuzz", "--trials", "8",
+           "--seed", "3", "--max-points", "5", "--max-halfplanes", "4"]
+    env = _child_env()
     r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout  # stderr carries timing, stdout must match
+
+
+def test_python_dash_m_package_runs_the_cli(good_file):
+    r = subprocess.run([sys.executable, "-m", "delgraphs", "build", "--input", good_file],
+                       capture_output=True, text=True, env=_child_env())
+    assert (r.returncode, r.stdout.splitlines()) == (0, ["0 1", "0 2", "1 3", "2 3"])
+    r = subprocess.run([sys.executable, "-m", "delgraphs", "build"],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 1 and "--input" in r.stderr
 
 
 def test_fuzz_open_fraction_flag(capsys):
