@@ -17,8 +17,7 @@ from .instances import (Instance, ParseError, emit_instance,
 from .planarity import (PlanarityReport, TriangulationReport,
                         collinear_triples, find_boundary_degeneracy,
                         triangulation_check, verify_plane)
-from .region import (ConvexRegion, LinearConstraint, constraint, feasible,
-                     negate)
+from .region import LinearConstraint, constraint, feasible, negate
 from .shape import (HOMOTHET, TRANSLATE, ConvexShape, HalfPlane, Placement,
                     contains, membership_constraints, shape_from_rows)
 from .svgout import render_svg
@@ -35,7 +34,7 @@ __all__ = [
     "sampled_edges",
     "PlanarityReport", "TriangulationReport", "collinear_triples",
     "find_boundary_degeneracy", "triangulation_check", "verify_plane",
-    "ConvexRegion", "LinearConstraint", "constraint", "feasible", "negate",
+    "LinearConstraint", "constraint", "feasible", "negate",
     "HOMOTHET", "TRANSLATE", "ConvexShape", "HalfPlane", "Placement",
     "contains", "membership_constraints", "shape_from_rows",
     "render_svg", "backend_name",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2
-from .region import ConvexRegion, feasible, feasible_with_hint, negate
+from .region import feasible, feasible_with_hint, negate
 from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                     Placement, contains, membership_constraints)
 
@@ -69,42 +69,38 @@ def _witness_from(x: tuple[Fraction, ...], mode: str) -> Placement:
 def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
     """Per-point membership constraints and their negations, computed once
     per build so every pair search reuses the same (memoized) rows."""
-    mems = [membership_constraints(shape, points[k], mode)
+    mems = [tuple(membership_constraints(shape, points[k], mode))
             for k in range(len(points))]
     negs = [[negate(h) for h in mem] for mem in mems]
     return mems, negs
 
 
-def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
-                 mode: str, mems, negs) -> Placement | None:
-    base_cons = list(mems[i]) + list(mems[j])
+def _edge_search(i: int, j: int, mode: str, mems, negs) -> Placement | None:
+    base = (*mems[i], *mems[j])
     dim = 2
     if mode == HOMOTHET:
-        base_cons.append(POSITIVE_SCALE)
+        base += (POSITIVE_SCALE,)
         dim = 3
-    base = ConvexRegion(dim, tuple(base_cons))
-    x = feasible(base)
+    x = feasible(dim, base)
     if x is None:
         return None
 
-    excluded = [k for k in range(len(points)) if k != i and k != j]
+    excluded = [k for k in range(len(mems)) if k != i and k != j]
 
-    def dfs(cell: ConvexRegion, hint, depth: int) -> Placement | None:
+    def dfs(cell: tuple, hint, depth: int) -> Placement | None:
         if depth == len(excluded):
-            final = feasible(cell)
+            final = feasible(dim, cell)
             if final is None:  # cell was certified nonempty on the way down
                 raise AssertionError("feasible cell became infeasible")
             return _witness_from(final, mode)
         k = excluded[depth]
-        prefix: list = []
-        for h, neg in zip(mems[k], negs[k]):
-            piece = cell.with_constraints(prefix + [neg])
-            probe = feasible_with_hint(piece, hint)
+        for m, neg in enumerate(negs[k]):
+            piece = cell + mems[k][:m] + (neg,)
+            probe = feasible_with_hint(dim, piece, hint)
             if probe is not None:
                 found = dfs(piece, probe, depth + 1)
                 if found is not None:
                     return found
-            prefix.append(h)
         return None
 
     return dfs(base, x, 0)
@@ -125,7 +121,7 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
         raise ValueError(f"unknown mode {mode!r}")
     i, j = min(i, j), max(i, j)
     mems, negs = _membership_tables(points, shape, mode)
-    return _edge_search(points, shape, i, j, mode, mems, negs)
+    return _edge_search(i, j, mode, mems, negs)
 
 
 def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
@@ -149,7 +145,7 @@ def build_graph(points: PointSet, shape: ConvexShape, mode: str) -> GeometricGra
     mems, negs = _membership_tables(points, shape, mode)
     for i in range(n):
         for j in range(i + 1, n):
-            w = _edge_search(points, shape, i, j, mode, mems, negs)
+            w = _edge_search(i, j, mode, mems, negs)
             if w is None:
                 continue
             if mode == TRANSLATE and w.scale != 1:

@@ -48,6 +48,15 @@ def _count(minimum: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**64), the seeds ``derive_seed``
+    tells apart."""
+    value = _count(0)(text)
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"must be < 2**64, got {value}")
+    return value
+
+
 def _probability(text: str) -> Fraction:
     """argparse type: a rational p/q in [0, 1]."""
     try:
@@ -291,7 +300,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fuzz", help="randomized theorem verification")
     p.add_argument("--trials", type=_count(0), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--max-points", type=_count(1), default=10)
     p.add_argument("--max-halfplanes", type=_count(1), default=7)
     p.add_argument("--open-fraction", type=_probability,
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
                                    "Exit 2 on a miss that no 4-point "
                                    "boundary degeneracy excuses.")
     p.add_argument("--trials", type=_count(0), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_triangulate_check)
 
     args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .geometry import (Point2, Segment, SegmentRelation, convex_hull,
                        on_closed_segment, scale_to_integers, segments_cross)
-from .region import ConvexRegion, LinearConstraint, feasible
+from .region import LinearConstraint, feasible
 from .builder import GeometricGraph
 from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
 
@@ -216,20 +216,20 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
                 allowed[pi].append(mems[pi][hi])
     if not all(allowed):
         return False
-    base = ConvexRegion(3, (POSITIVE_SCALE,) + tuple(c for m in mems for c in m))
-    if feasible(base) is None:
+    base = (POSITIVE_SCALE, *(c for m in mems for c in m))
+    if feasible(3, base) is None:
         return False
 
     def tightened(c: LinearConstraint) -> LinearConstraint:
         # reverse non-strict row; together with c it pins a.x == b
         return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
 
-    def dfs(region: ConvexRegion, depth: int) -> bool:
+    def dfs(cell: tuple, depth: int) -> bool:
         if depth == len(allowed):
             return True
         for c in allowed[depth]:
-            sub = region.with_constraints([tightened(c)])
-            if feasible(sub) is not None and dfs(sub, depth + 1):
+            sub = cell + (tightened(c),)
+            if feasible(3, sub) is not None and dfs(sub, depth + 1):
                 return True
         return False
 

@@ -1,9 +1,9 @@
-"""Convex subsets of Q^2 or Q^3 cut out by linear constraints with
+"""Convex cells of Q^d, each a tuple of linear constraints with
 strictness flags, and exact feasibility decisions with witnesses.
 
 Feasibility is decided by maximizing a shared slack variable s over the
-region with every strict constraint tightened by s (see ``backend`` for the
-LP statement): the region is nonempty iff the LP is feasible and, when
+cell with every strict constraint tightened by s (see ``backend`` for the
+LP statement): the cell is nonempty iff the LP is feasible and, when
 strict constraints are present, the optimal s is positive.  The LP
 optimizer's x doubles as the witness; by construction it sits strictly
 inside every open half-space, so downstream membership checks on it are
@@ -54,48 +54,36 @@ def negate(c: LinearConstraint) -> LinearConstraint:
     return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, not c.strict)
 
 
-@dataclass(frozen=True)
-class ConvexRegion:
-    dimension: int
-    constraints: tuple[LinearConstraint, ...]
-
-    def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise ValueError(f"unsupported dimension {self.dimension}")
-        for c in self.constraints:
-            if len(c.coeffs) != self.dimension:
-                raise ValueError("constraint dimension mismatch")
-
-    def with_constraints(self, extra) -> "ConvexRegion":
-        return ConvexRegion(self.dimension, self.constraints + tuple(extra))
-
-    def contains_point(self, x: tuple[Fraction, ...]) -> bool:
-        """Exact membership test on the denominator-cleared rows."""
-        nums, d = clear_denominators(x)
-        for c in self.constraints:
-            a, b, sigma = c.row
-            v = sum(ai * xi for ai, xi in zip(a, nums))
-            bd = b * d
-            if v > bd or (sigma and v == bd):
-                return False
-        return True
+def contains_point(constraints, x: tuple[Fraction, ...]) -> bool:
+    """Exact membership test of x in the cell cut out by ``constraints``,
+    on the denominator-cleared rows."""
+    nums, d = clear_denominators(x)
+    for c in constraints:
+        a, b, sigma = c.row
+        v = sum(ai * xi for ai, xi in zip(a, nums))
+        bd = b * d
+        if v > bd or (sigma and v == bd):
+            return False
+    return True
 
 
-def feasible(region: ConvexRegion) -> tuple[Fraction, ...] | None:
-    """Exact emptiness decision: None when the region is empty, otherwise
-    a witness strictly inside all of its open half-spaces."""
-    ok, x, s = backend.solve_slack_lp(region.dimension,
-                                      [c.row for c in region.constraints])
-    if not ok or (s == 0 and any(c.strict for c in region.constraints)):
+def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
+    """Exact emptiness decision for the cell of Q^dim cut out by the tuple
+    ``constraints``: None when it is empty, otherwise a witness strictly
+    inside all of its open half-spaces."""
+    if any(len(c.coeffs) != dim for c in constraints):
+        raise ValueError("constraint dimension mismatch")
+    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints])
+    if not ok or (s == 0 and any(c.strict for c in constraints)):
         return None
     return x
 
 
-def feasible_with_hint(region: ConvexRegion, hint) -> tuple[Fraction, ...] | None:
+def feasible_with_hint(dim: int, constraints, hint) -> tuple[Fraction, ...] | None:
     """Like feasible(), but first tests the candidate point ``hint``; a hint
-    inside the region certifies nonemptiness without a solve and is returned
+    inside the cell certifies nonemptiness without a solve and is returned
     as the point.  Pruning decisions are identical either way; hints never
     replace a witness that callers emit."""
-    if region.contains_point(hint):
+    if contains_point(constraints, hint):
         return hint
-    return feasible(region)
+    return feasible(dim, constraints)

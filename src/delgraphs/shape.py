@@ -78,7 +78,7 @@ def membership_constraints(shape: ConvexShape, p: Point2, mode: str) -> list[Lin
     translate: variables (tx, ty); a.(p-t) <= b becomes -a.t <= b - a.p.
     homothet: variables (tx, ty, lam); a.(p-t) <= lam*b becomes
     -a.t - b*lam <= -a.p.  The global lam > 0 constraint is the caller's
-    responsibility (one per region, not one per point).
+    responsibility (one per cell, not one per point).
     """
     out = []
     if mode == TRANSLATE:
@@ -100,4 +100,4 @@ def membership_constraints(shape: ConvexShape, p: Point2, mode: str) -> list[Lin
 
 POSITIVE_SCALE = LinearConstraint(
     (Fraction(0), Fraction(0), Fraction(-1)), Fraction(0), True)
-"""lam > 0, expressed as -lam < 0; appended once per homothet region."""
+"""lam > 0, expressed as -lam < 0; appended once per homothet cell."""

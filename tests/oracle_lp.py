@@ -7,10 +7,15 @@ candidate vertices of the slack program
 
 (sigma_i > 0 on strict rows, 0 on the rest) by solving every
 (dim+1)x(dim+1) subsystem of tight constraints with Cramer's rule and
-taking the best feasible candidate.  The box bound B is far beyond any
-vertex coordinate reachable from small rational inputs, so boxing never
-changes the answer; it only guarantees the optimum sits at an
-enumerable vertex.
+taking the best feasible candidate.  The box bound B is derived from
+the data so that boxing never changes the answer; it only guarantees the
+optimum sits at an enumerable vertex.  With the rows cleared to
+integers, the optimum is attained on a minimal face of the unboxed
+program, which holds a point whose every coordinate is a ratio of two
+minors of order at most dim + 1 of the rows [c | c_s | b], the
+denominator a nonzero integer.  By Hadamard's inequality such a minor is
+at most N ** (dim + 1) in absolute value, N the largest row 1-norm, so
+B = N ** (dim + 1) + 1 puts that point strictly inside the box.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-
-BOX = 2 ** 200
 
 
 def oracle_feasible(constraints, dim=2):
@@ -38,11 +41,12 @@ def oracle_feasible(constraints, dim=2):
     zero = (0,) * dim
     rows.append(zero + (1, 1))   # s <= 1
     rows.append(zero + (-1, 0))  # s >= 0
+    box = max(sum(abs(v) for v in row) for row in rows) ** (dim + 1) + 1
     for j in range(dim):
         unit = [0] * (dim + 1)
         unit[j] = 1
-        rows.append(tuple(unit) + (BOX,))
-        rows.append(tuple(-u for u in unit) + (BOX,))
+        rows.append(tuple(unit) + (box,))
+        rows.append(tuple(-u for u in unit) + (box,))
 
     best = None
     for tight in combinations(rows, dim + 1):

@@ -197,6 +197,14 @@ def test_nonfinite_float_values_fall_back(dim, rows):
     _assert_matches_oracle(dim, rows)
 
 
+def test_oracle_box_follows_the_data():
+    # Every point of this LP has x_0 >= H > 2**200: a fixed box of 2**200
+    # cut them all away and made the oracle call it infeasible.
+    rows = [((-1, H), H, 1), ((1, -H), H, 0), ((-1, 0), -H, 1), ((-H, 1), -H, 0)]
+    assert backend.solve_slack_lp(2, rows) == (True, (H + 1, Fraction(1, H)), 1)
+    assert oracle_feasible(rows, 2) == (True, 1)
+
+
 def test_nearly_parallel_rows_fall_back():
     # 10**17 and 10**17 + 1 round to the same float, so the floats see two
     # opposed parallel rows and propose both; exactly they are independent.

@@ -157,6 +157,11 @@ def test_usage_error_exit_code_1(capsys):
      "--open-fraction"),
     (["fuzz", "--trials", "1", "--seed", "1", "--open-fraction", "abc"],
      "--open-fraction"),
+    (["fuzz", "--trials", "1", "--seed", "-5"], "--seed"),
+    (["fuzz", "--trials", "1", "--seed", str(2 ** 64)], "--seed"),
+    (["triangulate-check", "--trials", "1", "--seed", "-1"], "--seed"),
+    (["triangulate-check", "--trials", "1", "--seed", str(7 + 2 ** 64)], "--seed"),
+    (["fuzz", "--trials", "1", "--seed", "x"], "--seed"),
 ])
 def test_bad_count_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
@@ -165,6 +170,29 @@ def test_bad_count_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}: " in captured.err
+
+
+def test_seed_range_bounds_are_accepted(capsys):
+    assert main(["fuzz", "--trials", "0", "--seed", "0"]) == 0
+    assert main(["triangulate-check", "--trials", "0", "--seed", str(2 ** 64 - 1)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["fuzz", "--trials", "10", "--seed", "7"],
+     "fuzz trials=10 seed=7 max-points=10 max-halfplanes=7 open-fraction=mixed\n"
+     "edges translate=22 homothet=38 max-homothet=17\n"
+     "degenerate-instances=0/10\n"
+     "sampling checked=1 confirmed-translate=1/1 confirmed-homothet=1/1\n"
+     "violations=0\n"),
+    # one excused miss, so the boundary scan runs
+    (["triangulate-check", "--trials", "3", "--seed", "8"],
+     "triangulate-check trials=3 seed=8\n"
+     "applicable=3 matches=2 miss-excused=1 miss-unexplained=0\n"),
+])
+def test_cli_stdout_is_pinned(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_fuzz_small_run_clean(capsys):
@@ -204,6 +232,13 @@ def test_python_dash_m_package_runs_the_cli(good_file):
     r = subprocess.run([sys.executable, "-m", "delgraphs", "build"],
                        capture_output=True, text=True, env=_child_env())
     assert r.returncode == 1 and "--input" in r.stderr
+
+
+def test_cli_runs_clean_with_warnings_as_errors():
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "delgraphs",
+                        "triangulate-check", "--trials", "1", "--seed", "8"],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
 
 
 def test_fuzz_open_fraction_flag(capsys):

@@ -10,7 +10,7 @@ from delgraphs.instances import (Instance, ParseError, emit_instance,
                                  sample_witness_search, translation_window)
 from delgraphs.builder import PointSet
 from delgraphs.geometry import point
-from delgraphs.region import ConvexRegion, feasible
+from delgraphs.region import feasible
 from delgraphs.shape import (HOMOTHET, MODES, TRANSLATE, Placement, contains,
                              membership_constraints, shape_from_rows)
 
@@ -184,12 +184,11 @@ def test_bounded_generator_is_bounded_closed_nonempty():
         assert all(h.b > 0 for h in inst.shape.halfplanes)
         # bounded iff the recession cone {x : a_i . x <= 0 for all i} is {0}:
         # no unit step in any probe direction may stay inside the cone
-        rec = ConvexRegion(2, tuple(
-            LinearConstraint(h.a, F(0), False) for h in inst.shape.halfplanes))
+        rec = tuple(
+            LinearConstraint(h.a, F(0), False) for h in inst.shape.halfplanes)
         for d in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)):
-            probe = rec.with_constraints(
-                [LinearConstraint((F(-d[0]), F(-d[1])), F(-1), False)])
-            assert feasible(probe) is None
+            probe = rec + (LinearConstraint((F(-d[0]), F(-d[1])), F(-1), False),)
+            assert feasible(2, probe) is None
 
 
 def test_sample_witness_search_finds_easy_pair():

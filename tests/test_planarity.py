@@ -10,7 +10,7 @@ from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import (collinear_triples, find_boundary_degeneracy,
                                  on_common_homothet_boundary,
                                  triangulation_check, verify_plane)
-from delgraphs.region import ConvexRegion, LinearConstraint, feasible
+from delgraphs.region import LinearConstraint, feasible
 from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, Placement,
                              membership_constraints, shape_from_rows)
 
@@ -136,14 +136,14 @@ def boundary_by_all_assignments(points, shape, quad) -> bool:
     def tight(c):
         return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
 
-    def search(region, depth):
-        if feasible(region) is None:
+    def search(cell, depth):
+        if feasible(3, cell) is None:
             return False
         return depth == len(mems) or any(
-            search(region.with_constraints([tight(c)]), depth + 1)
+            search(cell + (tight(c),), depth + 1)
             for c in mems[depth])
 
-    return bool(shape.halfplanes) and search(ConvexRegion(3, rows), 0)
+    return bool(shape.halfplanes) and search(rows, 0)
 
 
 def test_boundary_filter_agrees_with_all_assignments():
@@ -168,9 +168,9 @@ def test_boundary_filter_agrees_with_all_assignments():
 def count_feasible_calls(monkeypatch) -> list:
     calls = []
 
-    def counted(region):
-        calls.append(region)
-        return feasible(region)
+    def counted(dim, cell):
+        calls.append(cell)
+        return feasible(dim, cell)
 
     monkeypatch.setattr(planarity, "feasible", counted)
     return calls

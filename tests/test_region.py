@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delgraphs.region import (ConvexRegion, LinearConstraint, constraint,
+from delgraphs.region import (LinearConstraint, constraint, contains_point,
                               feasible, feasible_with_hint, negate)
 from oracle_lp import oracle_feasible
 
 F = Fraction
 
 
-def region2(*cons):
-    return ConvexRegion(2, tuple(cons))
+def feasible2(*cons):
+    return feasible(2, tuple(cons))
 
 
 def test_feasible_contradictory_bounds_empty():
     # x >= 0 and x <= -1
-    r = region2(constraint((-1, 0), 0), constraint((1, 0), -1))
-    assert feasible(r) is None
+    assert feasible2(constraint((-1, 0), 0), constraint((1, 0), -1)) is None
 
 
 def test_feasible_open_strip_witness_and_slack():
@@ -29,30 +28,28 @@ def test_feasible_open_strip_witness_and_slack():
             ((F(0), F(-1)), F(0), False), ((F(0), F(1)), F(0), False)]
     ora_ok, ora_slack = oracle_feasible(cons)
     assert ora_ok and ora_slack == F(1, 2)
-    assert feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons))) \
+    assert feasible2(*(LinearConstraint(a, b, s) for a, b, s in cons)) \
         == (F(1, 2), F(0))
 
 
 def test_feasible_pinned_to_open_boundary_empty():
     # x <= 0, x >= 0 force x = 0 but -x < 0 requires x > 0
-    r = region2(constraint((1, 0), 0), constraint((-1, 0), 0),
-                constraint((-1, 0), 0, True))
-    assert feasible(r) is None
+    assert feasible2(constraint((1, 0), 0), constraint((-1, 0), 0),
+                     constraint((-1, 0), 0, True)) is None
 
 
 def test_feasible_no_constraints_whole_space():
-    assert feasible(region2()) == (F(0), F(0))
+    assert feasible2() == (F(0), F(0))
 
 
 def test_feasible_unbounded_region_with_strict():
-    x = feasible(region2(constraint((0, -1), -3, True)))  # y > 3
+    x = feasible2(constraint((0, -1), -3, True))  # y > 3
     assert x is not None and x[1] > 3
 
 
 def test_feasible_equality_pair_line():
     # y == 2 as two opposing non-strict constraints
-    r = region2(constraint((0, 1), 2), constraint((0, -1), -2))
-    x = feasible(r)
+    x = feasible2(constraint((0, 1), 2), constraint((0, -1), -2))
     assert x is not None and x[1] == 2
 
 
@@ -67,7 +64,7 @@ def test_witness_round_trip_randomized():
                 a = (F(1), F(0))
             cons.append(LinearConstraint(a, F(rng.randint(-6, 6), rng.randint(1, 4)),
                                          rng.random() < 0.4))
-        x = feasible(region2(*cons))
+        x = feasible2(*cons)
         if x is not None:
             for c in cons:
                 assert c.satisfied_by(x)
@@ -83,7 +80,7 @@ def test_feasible_matches_bruteforce_oracle():
                 a = (F(0), F(1))
             cons.append((a, F(rng.randint(-7, 7), rng.randint(1, 2)),
                          rng.random() < 0.5))
-        x = feasible(region2(*(LinearConstraint(a, b, s) for a, b, s in cons)))
+        x = feasible2(*(LinearConstraint(a, b, s) for a, b, s in cons))
         ora, _ = oracle_feasible(cons)
         assert (x is not None) == ora, cons
 
@@ -102,8 +99,7 @@ def test_contains_point_agrees_with_satisfied_by(rows, u, v, data):
         (a0, a1), b, _ = rows[data.draw(st.integers(0, len(rows) - 1))]
         if data.draw(st.booleans()):
             x = ((b - a1 * v) / a0, v) if a0 else (u, (b - a0 * u) / a1)
-    r = region2(*cons)
-    assert r.contains_point(x) == all(c.satisfied_by(x) for c in cons)
+    assert contains_point(tuple(cons), x) == all(c.satisfied_by(x) for c in cons)
 
 
 def test_negate_strictness_duality():
@@ -134,9 +130,7 @@ def test_zero_normal_rejected():
 
 def test_bad_dimension_rejected():
     with pytest.raises(ValueError):
-        ConvexRegion(4, ())
-    with pytest.raises(ValueError):
-        ConvexRegion(2, (constraint((1, 0, 0), 1),))
+        feasible(2, (constraint((1, 0, 0), 1),))
 
 
 def test_feasible_with_hint_agrees_with_feasible():
@@ -148,6 +142,6 @@ def test_feasible_with_hint_agrees_with_feasible():
             if not any(a):
                 a = (F(1), F(1))
             cons.append(LinearConstraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
-        r = region2(*cons)
+        cell = tuple(cons)
         hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
-        assert (feasible_with_hint(r, hint) is None) == (feasible(r) is None)
+        assert (feasible_with_hint(2, cell, hint) is None) == (feasible(2, cell) is None)
