@@ -18,7 +18,11 @@ Dictionary convention: row i of ``tab``/``rhs`` reads
 ``basic_i = rhs_i - tab_i . nonbasic``.  The objective is the last row,
 stored the same way, so ``z = rhs[-1] - tab[-1] . nonbasic`` keeps its
 coefficients negated: a slot may enter while ``tab[-1]`` is negative there,
-and every pivot updates the objective with the other rows.  One Bland loop
+and every pivot updates the objective with the other rows.  A pivot
+updates only the slots where the pivot row is nonzero, which is exact: a
+skipped entry o would become o - f*0, that is o for a Fraction or a finite
+float f, and a non-finite float can change only a float proposal, never an
+answer.  One Bland loop
 serves both phases.  Phase I appends an auxiliary column of -1s and
 maximizes -aux.  If aux is still basic at its end, its row has a nonzero
 entry on some nonbasic slot: each row is ``y . [A | I | -1]`` for some
@@ -83,13 +87,16 @@ class _Dictionary:
         tab, rhs = self.tab, self.rhs
         row = tab[r]
         inv = 1 / row[e]
-        row[:] = [v * inv for v in row]
+        nz = [j for j, v in enumerate(row) if v and j != e]  # the rest stay put
+        for j in nz:
+            row[j] *= inv
         row[e] = inv
         rhs[r] = rhs[r] * inv
         for i, other in enumerate(tab):
             if i == r or not (f := other[e]):
                 continue
-            other[:] = [o - f * v for o, v in zip(other, row)]
+            for j in nz:
+                other[j] -= f * row[j]
             other[e] = -f * inv
             rhs[i] = rhs[i] - f * rhs[r]
         self.nonbasic[e], self.basic[r] = self.basic[r], self.nonbasic[e]

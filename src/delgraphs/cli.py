@@ -166,10 +166,13 @@ def run_fuzz(trials: int, seed: int, max_points: int, max_halfplanes: int,
         of = open_fraction if open_fraction is not None else OPEN_FRACTION_CYCLE[t % 3]
         inst = generate_instance(params.next_u64(), n, k, TRANSLATE, of)
 
+        g = {}
         try:
-            g = {m: build_graph(inst.points, inst.shape, m) for m in MODES}
+            for mode in MODES:
+                g[mode] = build_graph(inst.points, inst.shape, mode)
         except WitnessVerificationError as exc:
-            violations.append(("witness", inst, str(exc)))
+            violations.append((f"witness-{mode}",
+                               dataclasses.replace(inst, mode=mode), str(exc)))
             continue
         edges_t += len(g[TRANSLATE].edges)
         edges_st += len(g[HOMOTHET].edges)

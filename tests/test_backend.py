@@ -3,6 +3,7 @@ brute-force oracle, its answers pinned over a fixed set of runs, and the
 certified early exit for infeasible LPs (the float proposal may change
 the speed, never an answer)."""
 
+import copy
 import hashlib
 import math
 import random
@@ -121,6 +122,50 @@ def test_float_proposal_changes_no_answer(monkeypatch, name):
     monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
     calls, sha, _ = _run_pinned(monkeypatch)
     assert (calls, sha) == (PINNED_CALLS, PINNED_SHA256)
+
+
+def _dense_pivot(lp, r, e):
+    """The reference pivot: it updates every entry of every other row, the
+    zero entries of the pivot row included."""
+    tab, rhs = lp.tab, lp.rhs
+    row = tab[r]
+    inv = 1 / row[e]
+    row[:] = [v * inv for v in row]
+    row[e] = inv
+    rhs[r] = rhs[r] * inv
+    for i, other in enumerate(tab):
+        if i == r or not (f := other[e]):
+            continue
+        other[:] = [o - f * v for o, v in zip(other, row)]
+        other[e] = -f * inv
+        rhs[i] = rhs[i] - f * rhs[r]
+    lp.nonbasic[e], lp.basic[r] = lp.basic[r], lp.nonbasic[e]
+
+
+@pytest.mark.parametrize("num, eps", [(Fraction, 0), (float, backend._FLOAT_EPS)])
+def test_sparse_pivot_matches_the_dense_one(num, eps):
+    rng = random.Random(4881)
+    pivots = zeros = 0
+    for _ in range(120):
+        dim = rng.choice((2, 3))
+        lp = backend._Dictionary(dim, _random_rows(rng, dim, 4), num, eps)
+        lp.tab.append([num(rng.randint(-3, 3)) for _ in lp.nonbasic])  # objective
+        lp.rhs.append(num(0))
+        dense = copy.deepcopy(lp)
+        for _ in range(6):
+            r = rng.randrange(len(lp.tab) - 1)
+            slots = [j for j, v in enumerate(lp.tab[r]) if v != 0]
+            if not slots:
+                continue
+            zeros += len(lp.tab[r]) - len(slots)
+            e = rng.choice(slots)
+            lp.pivot(r, e)
+            _dense_pivot(dense, r, e)
+            pivots += 1
+            if not all(math.isfinite(v) for row in lp.tab for v in row + lp.rhs):
+                break  # float equality is exact only while every value is finite
+            assert vars(lp) == vars(dense)  # tab, rhs, basic and nonbasic
+    assert pivots > 500 and zeros > pivots  # the skipped entries are exercised
 
 
 def _is_certificate(rows, y):

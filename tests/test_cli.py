@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import delgraphs
+from delgraphs import cli
+from delgraphs.builder import WitnessVerificationError
 from delgraphs.cli import main, run_fuzz, run_triangulate_check
+from delgraphs.instances import emit_instance, generate_bounded_instance, parse_instance
+from delgraphs.shape import HOMOTHET, TRANSLATE
 
 GOOD = """\
 mode homothet
@@ -75,6 +80,23 @@ def test_build_witness_text_is_pinned(tmp_path, capsys, text, mode, expected):
     capsys.readouterr()
 
 
+# SHA-256 of the witness file for n = 16: every edge and its exact placement.
+WITNESS_SHA256 = {
+    TRANSLATE: "f2e37f31d58d719c9f9131a303676befa7ce5d560506119f039000793139bf86",
+    HOMOTHET: "80a440f78ebf0d9f272aaedd59fb8aae505a6b0a4a7e0aae877281c0dbe55e88",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WITNESS_SHA256))
+def test_build_witness_file_is_pinned_at_n16(tmp_path, capsys, mode):
+    src = tmp_path / "in.dg"
+    src.write_text(emit_instance(generate_bounded_instance(116, 16, 6, mode)))
+    wfile = tmp_path / "w.txt"
+    assert main(["build", "--input", str(src), "--witnesses", str(wfile)]) == 0
+    assert hashlib.sha256(wfile.read_bytes()).hexdigest() == WITNESS_SHA256[mode]
+    capsys.readouterr()
+
+
 def test_build_svg_with_no_points(tmp_path, capsys):
     src = tmp_path / "empty.dg"
     src.write_text("mode homothet\nshape 1\n0 1 1 closed\npoints 0\n")
@@ -96,6 +118,40 @@ def test_verify_single_mode(capsys, good_file):
     assert main(["verify", "--input", good_file, "--mode", "homothet"]) == 0
     out = capsys.readouterr().out
     assert "plane homothet ok" in out and "plane translate ok" not in out
+
+
+@pytest.fixture
+def homothet_witness_fails(monkeypatch):
+    build = cli.build_graph
+
+    def failing(points, shape, mode):
+        if mode == HOMOTHET:
+            raise WitnessVerificationError("witness re-check failed")
+        return build(points, shape, mode)
+
+    monkeypatch.setattr(cli, "build_graph", failing)
+
+
+def _dumped(out):
+    """The kind line and the instance of the one violation in ``out``."""
+    kind = next(line for line in out.splitlines() if line.startswith("VIOLATION"))
+    text = out.split("--- instance ---\n", 1)[1].split("--- end instance ---", 1)[0]
+    return kind, parse_instance(text)
+
+
+def test_fuzz_names_the_mode_of_a_witness_failure(capsys, homothet_witness_fails):
+    assert main(["fuzz", "--trials", "1", "--seed", "7"]) == 2
+    out = capsys.readouterr().out
+    kind, inst = _dumped(out)
+    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+    assert out.endswith("violations=1\n")
+
+
+def test_verify_names_the_mode_of_a_witness_failure(capsys, good_file,
+                                                    homothet_witness_fails):
+    assert main(["verify", "--input", good_file]) == 2
+    kind, inst = _dumped(capsys.readouterr().out)
+    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
 
 
 def test_parse_error_exit_code_1(tmp_path, capsys):
