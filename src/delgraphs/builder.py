@@ -8,7 +8,8 @@ region, each other point r carves out the convex "hole" of placements
 containing r, and the edge exists iff the base region minus all holes is
 nonempty.  Holes are cut away in ascending point order and the
 resulting disjoint cells are scanned in generation order, so the witness
-each edge carries is deterministic.
+each edge carries is deterministic.  This search, ``first_leaf``, also
+runs the boundary test ``planarity.on_common_homothet_boundary``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2
-from .region import feasible, feasible_with_hint, negate
+from .region import complement, feasible, feasible_with_hint
 from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                     Placement, contains, membership_constraints)
 
@@ -67,15 +68,31 @@ def _witness_from(x: tuple[Fraction, ...], mode: str) -> Placement:
 
 
 def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
-    """Per-point membership constraints and their negations, computed once
-    per build so every pair search reuses the same (memoized) rows."""
+    """Per-point membership constraints and the disjoint pieces of their
+    complements, computed once per build so every pair search reuses the
+    same (memoized) rows."""
     mems = [tuple(membership_constraints(shape, points[k], mode))
             for k in range(len(points))]
-    negs = [[negate(h) for h in mem] for mem in mems]
-    return mems, negs
+    return mems, [complement(mem) for mem in mems]
 
 
-def _edge_search(i: int, j: int, mode: str, mems, negs) -> Placement | None:
+def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
+    """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
+    order, piece_l one of the constraint tuples of ``levels[l]``, or None;
+    each level reuses the point that proved its parent nonempty as hint."""
+    if not levels:
+        return cell
+    for piece in levels[0]:
+        sub = cell + piece
+        probe = feasible_with_hint(dim, sub, hint)
+        if probe is not None:
+            leaf = first_leaf(dim, sub, levels[1:], probe)
+            if leaf is not None:
+                return leaf
+    return None
+
+
+def _edge_search(i: int, j: int, mode: str, mems, outside) -> Placement | None:
     base = (*mems[i], *mems[j])
     dim = 2
     if mode == HOMOTHET:
@@ -84,26 +101,14 @@ def _edge_search(i: int, j: int, mode: str, mems, negs) -> Placement | None:
     x = feasible(dim, base)
     if x is None:
         return None
-
-    excluded = [k for k in range(len(mems)) if k != i and k != j]
-
-    def dfs(cell: tuple, hint, depth: int) -> Placement | None:
-        if depth == len(excluded):
-            final = feasible(dim, cell)
-            if final is None:  # cell was certified nonempty on the way down
-                raise AssertionError("feasible cell became infeasible")
-            return _witness_from(final, mode)
-        k = excluded[depth]
-        for m, neg in enumerate(negs[k]):
-            piece = cell + mems[k][:m] + (neg,)
-            probe = feasible_with_hint(dim, piece, hint)
-            if probe is not None:
-                found = dfs(piece, probe, depth + 1)
-                if found is not None:
-                    return found
+    levels = [outside[k] for k in range(len(mems)) if k != i and k != j]
+    leaf = first_leaf(dim, base, levels, x)
+    if leaf is None:
         return None
-
-    return dfs(base, x, 0)
+    final = feasible(dim, leaf)
+    if final is None:  # the leaf was certified nonempty on the way down
+        raise AssertionError("feasible cell became infeasible")
+    return _witness_from(final, mode)
 
 
 def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
@@ -120,8 +125,8 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     i, j = min(i, j), max(i, j)
-    mems, negs = _membership_tables(points, shape, mode)
-    return _edge_search(i, j, mode, mems, negs)
+    mems, outside = _membership_tables(points, shape, mode)
+    return _edge_search(i, j, mode, mems, outside)
 
 
 def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
@@ -142,10 +147,10 @@ def build_graph(points: PointSet, shape: ConvexShape, mode: str) -> GeometricGra
         raise ValueError(f"unknown mode {mode!r}")
     edges = []
     n = len(points)
-    mems, negs = _membership_tables(points, shape, mode)
+    mems, outside = _membership_tables(points, shape, mode)
     for i in range(n):
         for j in range(i + 1, n):
-            w = _edge_search(i, j, mode, mems, negs)
+            w = _edge_search(i, j, mode, mems, outside)
             if w is None:
                 continue
             if mode == TRANSLATE and w.scale != 1:

@@ -100,7 +100,11 @@ def _dump_violation(kind: str, inst: Instance, detail: str = ""):
 def cmd_build(args) -> int:
     inst = _read_instance(args.input)
     mode = args.mode or inst.mode
-    g = build_graph(inst.points, inst.shape, mode)
+    try:
+        g = build_graph(inst.points, inst.shape, mode)
+    except WitnessVerificationError as exc:
+        _dump_violation(f"witness-{mode}", dataclasses.replace(inst, mode=mode), str(exc))
+        return EXIT_VIOLATION
     for e in g.edges:
         print(e.i, e.j)
     if args.witnesses:
@@ -112,35 +116,47 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    inst = _read_instance(args.input)
-    modes = [args.mode] if args.mode else list(MODES)
-    rc = EXIT_OK
+def check_claims(inst: Instance, plane_modes=MODES):
+    """(graphs, violations) of the paper's claims on ``inst``: plane per
+    mode in ``plane_modes``, translate within homothet.  Violations are
+    (kind, instance, detail); a witness failure ends the check early."""
     graphs = {}
     for mode in MODES:
         try:
             graphs[mode] = build_graph(inst.points, inst.shape, mode)
         except WitnessVerificationError as exc:
-            _dump_violation(f"witness-{mode}",
-                            dataclasses.replace(inst, mode=mode), str(exc))
-            return EXIT_VIOLATION
-    for mode in modes:
+            return graphs, [(f"witness-{mode}",
+                             dataclasses.replace(inst, mode=mode), str(exc))]
+    violations = []
+    for mode in plane_modes:
         rep = verify_plane(graphs[mode])
-        if rep.is_plane:
-            print(f"plane {mode} ok edges={len(graphs[mode].edges)}")
-        else:
-            rc = EXIT_VIOLATION
-            _dump_violation(
+        if not rep.is_plane:
+            violations.append((
                 f"plane-{mode}", dataclasses.replace(inst, mode=mode),
                 f"condition1={list(rep.condition1_violations)} "
-                f"condition2={list(rep.condition2_violations)}")
-    if is_subgraph(graphs[TRANSLATE], graphs[HOMOTHET]):
-        print("subset ok")
-    else:
-        rc = EXIT_VIOLATION
+                f"condition2={list(rep.condition2_violations)}"))
+    if not is_subgraph(graphs[TRANSLATE], graphs[HOMOTHET]):
         missing = graphs[TRANSLATE].edge_pairs() - graphs[HOMOTHET].edge_pairs()
-        _dump_violation("subset", inst, f"translate-only edges: {sorted(missing)}")
-    return rc
+        violations.append(("subset", inst, f"translate-only edges: {sorted(missing)}"))
+    return graphs, violations
+
+
+def cmd_verify(args) -> int:
+    inst = _read_instance(args.input)
+    modes = [args.mode] if args.mode else list(MODES)
+    graphs, violations = check_claims(inst, modes)
+    if len(graphs) < len(MODES):
+        _dump_violation(*violations[0])
+        return EXIT_VIOLATION
+    found = {v[0]: v for v in violations}
+    ok_lines = [(f"plane-{m}", f"plane {m} ok edges={len(graphs[m].edges)}")
+              for m in modes] + [("subset", "subset ok")]
+    for kind, line in ok_lines:
+        if kind in found:
+            _dump_violation(*found[kind])
+        else:
+            print(line)
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 OPEN_FRACTION_CYCLE = (Fraction(0), Fraction(1, 4), Fraction(1))
@@ -166,30 +182,15 @@ def run_fuzz(trials: int, seed: int, max_points: int, max_halfplanes: int,
         of = open_fraction if open_fraction is not None else OPEN_FRACTION_CYCLE[t % 3]
         inst = generate_instance(params.next_u64(), n, k, TRANSLATE, of)
 
-        g = {}
-        try:
-            for mode in MODES:
-                g[mode] = build_graph(inst.points, inst.shape, mode)
-        except WitnessVerificationError as exc:
-            violations.append((f"witness-{mode}",
-                               dataclasses.replace(inst, mode=mode), str(exc)))
+        g, found = check_claims(inst)
+        violations += found
+        if len(g) < len(MODES):
             continue
         edges_t += len(g[TRANSLATE].edges)
         edges_st += len(g[HOMOTHET].edges)
         max_edges_st = max(max_edges_st, len(g[HOMOTHET].edges))
         if collinear_triples(inst.points.points):
             degenerate += 1
-
-        for mode in MODES:
-            rep = verify_plane(g[mode])
-            if not rep.is_plane:
-                violations.append((
-                    f"plane-{mode}", dataclasses.replace(inst, mode=mode),
-                    f"condition1={list(rep.condition1_violations)} "
-                    f"condition2={list(rep.condition2_violations)}"))
-        if not is_subgraph(g[TRANSLATE], g[HOMOTHET]):
-            missing = g[TRANSLATE].edge_pairs() - g[HOMOTHET].edge_pairs()
-            violations.append(("subset", inst, f"translate-only edges: {sorted(missing)}"))
 
         if t % SAMPLING_SUBSAMPLE == 0:
             sampling_checked += 1
@@ -234,7 +235,8 @@ RESAMPLE_ATTEMPTS = 50
 
 
 def run_triangulate_check(trials: int, seed: int):
-    """Returns (summary_text, unexplained_misses).
+    """Returns (summary_text, unexplained_misses, violations); a witness
+    failure is a violation as in ``run_fuzz``, and its trial is skipped.
 
     ``matches=`` counts trials whose homothet graph is ``triangulated``:
     connected with every bounded face a triangle (the outer-face count,
@@ -242,6 +244,7 @@ def run_triangulate_check(trials: int, seed: int):
     ``matches`` is not used, since a polygonal shape need not reach it.
     A miss is excused by a 4-point boundary degeneracy."""
     applicable = matches = excused = unexplained = 0
+    violations = []
     for t in range(trials):
         params = SplitMix64(derive_seed(seed, t))
         n = 4 + params.below(7)
@@ -255,7 +258,11 @@ def run_triangulate_check(trials: int, seed: int):
                 break
         if inst is None:
             continue
-        g = build_graph(inst.points, inst.shape, HOMOTHET)
+        try:
+            g = build_graph(inst.points, inst.shape, HOMOTHET)
+        except WitnessVerificationError as exc:
+            violations.append((f"witness-{HOMOTHET}", inst, str(exc)))
+            continue
         rep = triangulation_check(g)
         if not rep.applicable:
             continue
@@ -271,15 +278,17 @@ def run_triangulate_check(trials: int, seed: int):
         f"applicable={applicable} matches={matches} "
         f"miss-excused={excused} miss-unexplained={unexplained}",
     ]
-    return "\n".join(lines) + "\n", unexplained
+    return "\n".join(lines) + "\n", unexplained, violations
 
 
 def cmd_triangulate_check(args) -> int:
     t0 = time.perf_counter()
-    summary, unexplained = run_triangulate_check(args.trials, args.seed)
+    summary, unexplained, violations = run_triangulate_check(args.trials, args.seed)
+    for kind, inst, detail in violations:
+        _dump_violation(kind, inst, detail)
     sys.stdout.write(summary)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_VIOLATION if unexplained else EXIT_OK
+    return EXIT_VIOLATION if unexplained or violations else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from itertools import combinations
 from .geometry import (Point2, Segment, SegmentRelation, convex_hull,
                        on_closed_segment, scale_to_integers, segments_cross)
 from .region import LinearConstraint, feasible
-from .builder import GeometricGraph
+from .builder import GeometricGraph, first_leaf
 from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
 
 IndexEdge = tuple[int, int]
@@ -190,7 +190,10 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     A point sits on the placed boundary iff it is inside and at least one
     half-plane is tight, so the search assigns one tight half-plane per
     point and decides the equality-tightened system by LP, pruning
-    assignment prefixes as soon as they go infeasible.
+    assignment prefixes as soon as they go infeasible.  The search is
+    ``builder.first_leaf``: a prefix's point that also satisfies the next
+    tight row decides that assignment without an LP, which lowers the LP
+    count and never changes the answer.
 
     Before any LP, exact dot products rule out most assignments.  If p is
     tight on the half-plane a.x <= b of C, then a.(p - t) = lam*b while
@@ -205,35 +208,22 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
         return False
     chosen = [points[idx] for idx in indices]
     mems = [membership_constraints(shape, p, HOMOTHET) for p in chosen]
-    allowed: list[list[LinearConstraint]] = [[] for _ in chosen]
+    allowed: list[list[tuple[LinearConstraint]]] = [[] for _ in chosen]
     for hi, h in enumerate(shape.halfplanes):
         if h.strict:
             continue
         dots = [h.a[0] * p.x + h.a[1] * p.y for p in chosen]
         top = max(dots, default=0)
         for pi, d in enumerate(dots):
-            if d == top:
-                allowed[pi].append(mems[pi][hi])
+            if d == top:  # c with its reversed closed row pins a.x == b
+                c = mems[pi][hi]
+                allowed[pi].append(
+                    (LinearConstraint(tuple(-v for v in c.coeffs), -c.bound),))
     if not all(allowed):
         return False
     base = (POSITIVE_SCALE, *(c for m in mems for c in m))
-    if feasible(3, base) is None:
-        return False
-
-    def tightened(c: LinearConstraint) -> LinearConstraint:
-        # reverse non-strict row; together with c it pins a.x == b
-        return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
-
-    def dfs(cell: tuple, depth: int) -> bool:
-        if depth == len(allowed):
-            return True
-        for c in allowed[depth]:
-            sub = cell + (tightened(c),)
-            if feasible(3, sub) is not None and dfs(sub, depth + 1):
-                return True
-        return False
-
-    return dfs(base, 0)
+    x = feasible(3, base)
+    return x is not None and first_leaf(3, base, allowed, x) is not None
 
 
 def find_boundary_degeneracy(points, shape: ConvexShape) -> tuple[int, ...] | None:

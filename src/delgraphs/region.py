@@ -54,6 +54,11 @@ def negate(c: LinearConstraint) -> LinearConstraint:
     return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, not c.strict)
 
 
+def complement(cs) -> tuple[tuple[LinearConstraint, ...], ...]:
+    """Disjoint pieces covering the outside of cell ``cs``: rows < m, row m negated."""
+    return tuple(cs[:m] + (negate(c),) for m, c in enumerate(cs))
+
+
 def contains_point(constraints, x: tuple[Fraction, ...]) -> bool:
     """Exact membership test of x in the cell cut out by ``constraints``,
     on the denominator-cleared rows."""

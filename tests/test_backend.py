@@ -62,24 +62,32 @@ PINNED_BUILDS = [generate_instance(seed, 6, 5, TRANSLATE, Fraction(1, 3))
                  for seed in (2, 13, 19, 22, 23)]
 PINNED_BUILDS.append(generate_bounded_instance(116, 5, 6, TRANSLATE))
 PINNED_BOUNDARY = generate_bounded_instance(7036, 6, 4, HOMOTHET)
-PINNED_CALLS = 1322
-PINNED_SHA256 = "0cf117b8c251541578a8d6677c72442a186c0b753a272a90fcf41636cc03b5cb"
+# (calls, SHA-256 of every call and answer) of the builds and of the
+# boundary scan, pinned apart: a change to one search shows in one pin
+PINNED = {
+    "builds": (1303, "f87517f9b0789155be8377b8a6add311df9c24795826adc0664be1600dd8f035"),
+    "boundary": (10, "1b11ea41a29a2b5ae8ebdd27c1854dca346bc6ff35fd4ddbb8c0da7ccc37275a"),
+}
 
 
 def _run_pinned(monkeypatch):
-    """(calls, SHA-256 of every call and answer, certified exits) over the
-    pinned builds and boundary scan."""
-    digest = hashlib.sha256()
-    calls = []
+    """({pin: (calls, SHA-256)}, certified exits) over the pinned builds
+    and boundary scan."""
+    log = []
     certified = []
     solve = backend.solve_slack_lp
     weights = backend.farkas_weights
 
     def recording(dim, rows):
         answer = solve(dim, rows)
-        calls.append(None)
-        digest.update(repr((dim, list(rows), answer)).encode())
+        log.append(repr((dim, list(rows), answer)))
         return answer
+
+    def pin():
+        calls = len(log)
+        digest = hashlib.sha256("".join(log).encode()).hexdigest()
+        log.clear()
+        return calls, digest
 
     def counting(rows):
         y = weights(rows)
@@ -92,14 +100,16 @@ def _run_pinned(monkeypatch):
     for inst in PINNED_BUILDS:
         for mode in MODES:
             build_graph(inst.points, inst.shape, mode)
+    pins = {"builds": pin()}
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
-    return len(calls), digest.hexdigest(), len(certified)
+    pins["boundary"] = pin()
+    return pins, len(certified)
 
 
 def test_kernel_answers_are_pinned(monkeypatch):
-    calls, sha, certified = _run_pinned(monkeypatch)
-    assert (calls, sha) == (PINNED_CALLS, PINNED_SHA256)
+    pins, certified = _run_pinned(monkeypatch)
+    assert pins == PINNED
     assert certified > 0  # the certified exit is taken on these builds
 
 
@@ -120,8 +130,8 @@ WRONG_PROPOSERS = {
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_float_proposal_changes_no_answer(monkeypatch, name):
     monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
-    calls, sha, _ = _run_pinned(monkeypatch)
-    assert (calls, sha) == (PINNED_CALLS, PINNED_SHA256)
+    pins, _ = _run_pinned(monkeypatch)
+    assert pins == PINNED
 
 
 def _dense_pivot(lp, r, e):

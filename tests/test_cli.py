@@ -11,6 +11,7 @@ from delgraphs import cli
 from delgraphs.builder import WitnessVerificationError
 from delgraphs.cli import main, run_fuzz, run_triangulate_check
 from delgraphs.instances import emit_instance, generate_bounded_instance, parse_instance
+from delgraphs.planarity import PlanarityReport
 from delgraphs.shape import HOMOTHET, TRANSLATE
 
 GOOD = """\
@@ -152,6 +153,71 @@ def test_verify_names_the_mode_of_a_witness_failure(capsys, good_file,
     assert main(["verify", "--input", good_file]) == 2
     kind, inst = _dumped(capsys.readouterr().out)
     assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+
+
+def test_build_reports_a_witness_failure(capsys, good_file, homothet_witness_fails):
+    assert main(["build", "--input", good_file]) == 2
+    kind, inst = _dumped(capsys.readouterr().out)
+    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+
+
+def test_triangulate_check_reports_a_witness_failure(capsys, homothet_witness_fails):
+    assert main(["triangulate-check", "--trials", "1", "--seed", "1"]) == 2
+    out = capsys.readouterr().out
+    kind, inst = _dumped(out)
+    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+    assert out.endswith("applicable=0 matches=0 miss-excused=0 miss-unexplained=0\n")
+
+
+@pytest.fixture
+def homothet_not_plane(monkeypatch):
+    verify = cli.verify_plane
+
+    def crossing(g):
+        if g.mode == HOMOTHET:
+            return PlanarityReport((), (((0, 1), (2, 3)),))
+        return verify(g)
+
+    monkeypatch.setattr(cli, "verify_plane", crossing)
+
+
+def test_verify_reports_a_plane_violation(capsys, good_file, homothet_not_plane):
+    assert main(["verify", "--input", good_file]) == 2
+    out = capsys.readouterr().out
+    kind, inst = _dumped(out)
+    assert kind == "VIOLATION plane-homothet" and inst.mode == HOMOTHET
+    assert "condition2=[((0, 1), (2, 3))]" in out
+    assert out.splitlines()[0] == "plane translate ok edges=0"
+    assert out.endswith("subset ok\n")
+
+
+def test_fuzz_reports_a_plane_violation(capsys, homothet_not_plane):
+    assert main(["fuzz", "--trials", "1", "--seed", "7"]) == 2
+    out = capsys.readouterr().out
+    kind, inst = _dumped(out)
+    assert kind == "VIOLATION plane-homothet" and inst.mode == HOMOTHET
+    assert out.endswith("violations=1\n")
+
+
+@pytest.fixture
+def not_a_subgraph(monkeypatch):
+    monkeypatch.setattr(cli, "is_subgraph", lambda g1, g2: False)
+
+
+def test_verify_reports_a_subset_violation(capsys, good_file, not_a_subgraph):
+    assert main(["verify", "--input", good_file]) == 2
+    out = capsys.readouterr().out
+    kind, _ = _dumped(out)
+    assert kind == "VIOLATION subset"
+    assert out.startswith("plane translate ok edges=0\nplane homothet ok edges=4\n")
+
+
+def test_fuzz_reports_a_subset_violation(capsys, not_a_subgraph):
+    assert main(["fuzz", "--trials", "1", "--seed", "7"]) == 2
+    out = capsys.readouterr().out
+    kind, _ = _dumped(out)
+    assert kind == "VIOLATION subset"
+    assert out.endswith("violations=1\n")
 
 
 def test_parse_error_exit_code_1(tmp_path, capsys):
@@ -311,6 +377,6 @@ def test_triangulate_check_runs(capsys):
 
 
 def test_triangulate_check_reproducible():
-    s1, _ = run_triangulate_check(5, 21)
-    s2, _ = run_triangulate_check(5, 21)
+    s1, _, _ = run_triangulate_check(5, 21)
+    s2, _, _ = run_triangulate_check(5, 21)
     assert s1 == s2

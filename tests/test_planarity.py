@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import planarity
+from delgraphs import backend
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
 from delgraphs.geometry import convex_hull, point
 from delgraphs.instances import generate_bounded_instance, generate_instance
@@ -111,11 +111,13 @@ def test_collinear_triples():
     assert collinear_triples((point(0, 0), point(1, 0), point(0, 1))) == []
 
 
-def test_square_corners_are_boundary_degenerate():
+def test_square_corners_are_boundary_degenerate(monkeypatch):
     # all four corners lie on the boundary of the 2x scaled unit square;
     # two corners tie on each side, and both may be tight there
+    calls = count_feasible_calls(monkeypatch)
     assert on_common_homothet_boundary(SQUARE_CORNERS.points,
                                        CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
+    assert calls  # the counter sees the search's LPs
     assert find_boundary_degeneracy(SQUARE_CORNERS.points,
                                     CLOSED_UNIT_SQUARE) == (0, 1, 2, 3)
 
@@ -166,13 +168,15 @@ def test_boundary_filter_agrees_with_all_assignments():
 
 
 def count_feasible_calls(monkeypatch) -> list:
+    """Record every LP the kernel solves, whichever module asks for it."""
     calls = []
+    solve = backend.solve_slack_lp
 
-    def counted(dim, cell):
-        calls.append(cell)
-        return feasible(dim, cell)
+    def counted(dim, rows):
+        calls.append(rows)
+        return solve(dim, rows)
 
-    monkeypatch.setattr(planarity, "feasible", counted)
+    monkeypatch.setattr(backend, "solve_slack_lp", counted)
     return calls
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delgraphs.region import (LinearConstraint, constraint, contains_point,
-                              feasible, feasible_with_hint, negate)
+from delgraphs.region import (LinearConstraint, complement, constraint,
+                              contains_point, feasible, feasible_with_hint,
+                              negate)
 from oracle_lp import oracle_feasible
 
 F = Fraction
@@ -89,17 +90,28 @@ frac = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 halfplanes = st.tuples(st.tuples(frac, frac).filter(any), frac, st.booleans())
 
 
+def _point_maybe_on_a_row(rows, u, v, data):
+    """(u, v), or a point on the boundary line a.x == b of one of ``rows``,
+    where the strict/closed distinction decides membership."""
+    if rows and data.draw(st.booleans()):
+        (a0, a1), b, _ = rows[data.draw(st.integers(0, len(rows) - 1))]
+        return ((b - a1 * v) / a0, v) if a0 else (u, (b - a0 * u) / a1)
+    return u, v
+
+
 @given(st.lists(halfplanes, max_size=5), frac, frac, st.data())
 def test_contains_point_agrees_with_satisfied_by(rows, u, v, data):
     cons = [LinearConstraint(a, b, strict) for a, b, strict in rows]
-    x = (u, v)
-    if cons:
-        # put the point on the boundary line a.x == b of one row, so the
-        # strict/closed distinction decides membership
-        (a0, a1), b, _ = rows[data.draw(st.integers(0, len(rows) - 1))]
-        if data.draw(st.booleans()):
-            x = ((b - a1 * v) / a0, v) if a0 else (u, (b - a0 * u) / a1)
+    x = _point_maybe_on_a_row(rows, u, v, data)
     assert contains_point(tuple(cons), x) == all(c.satisfied_by(x) for c in cons)
+
+
+@given(st.lists(halfplanes, max_size=5), frac, frac, st.data())
+def test_complement_pieces_partition_the_space(rows, u, v, data):
+    cell = tuple(LinearConstraint(a, b, strict) for a, b, strict in rows)
+    x = _point_maybe_on_a_row(rows, u, v, data)
+    pieces = (cell, *complement(cell))
+    assert sum(contains_point(piece, x) for piece in pieces) == 1
 
 
 def test_negate_strictness_duality():
