@@ -71,6 +71,8 @@ def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
     """Per-point membership constraints and the disjoint pieces of their
     complements, computed once per build so every pair search reuses the
     same (memoized) rows."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     mems = [tuple(membership_constraints(shape, points[k], mode))
             for k in range(len(points))]
     return mems, [complement(mem) for mem in mems]
@@ -92,7 +94,10 @@ def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
     return None
 
 
-def _edge_search(i: int, j: int, mode: str, mems, outside) -> Placement | None:
+def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
+                 mode: str, mems, outside) -> Placement | None:
+    """The witness of edge (i, j), re-checked by direct containment, or
+    None; raises ``WitnessVerificationError`` if the re-check fails."""
     base = (*mems[i], *mems[j])
     dim = 2
     if mode == HOMOTHET:
@@ -108,7 +113,15 @@ def _edge_search(i: int, j: int, mode: str, mems, outside) -> Placement | None:
     final = feasible(dim, leaf)
     if final is None:  # the leaf was certified nonempty on the way down
         raise AssertionError("feasible cell became infeasible")
-    return _witness_from(final, mode)
+    w = _witness_from(final, mode)
+    if mode == TRANSLATE and w.scale != 1:
+        raise WitnessVerificationError(
+            f"translate witness for ({i},{j}) has scale {w.scale}")
+    if not verify_witness(points, shape, i, j, w):
+        raise WitnessVerificationError(
+            f"witness for edge ({i},{j}) fails membership re-check: "
+            f"t={w.translation} scale={w.scale}")
+    return w
 
 
 def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
@@ -119,14 +132,13 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
     surviving cell along its constraints in order; the first cell that
     survives every hole supplies the witness via a fresh feasibility
     solve, whose optimizer lies strictly inside all open constraints.
+    The witness is re-checked by direct containment before it is returned.
     """
     if i == j:
         raise ValueError("edge endpoints must differ")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     i, j = min(i, j), max(i, j)
     mems, outside = _membership_tables(points, shape, mode)
-    return _edge_search(i, j, mode, mems, outside)
+    return _edge_search(points, shape, i, j, mode, mems, outside)
 
 
 def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
@@ -143,24 +155,14 @@ def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
 def build_graph(points: PointSet, shape: ConvexShape, mode: str) -> GeometricGraph:
     """All-pairs edge search; every emitted edge re-verifies its witness
     by direct containment before being admitted."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     edges = []
     n = len(points)
     mems, outside = _membership_tables(points, shape, mode)
     for i in range(n):
         for j in range(i + 1, n):
-            w = _edge_search(i, j, mode, mems, outside)
-            if w is None:
-                continue
-            if mode == TRANSLATE and w.scale != 1:
-                raise WitnessVerificationError(
-                    f"translate witness for ({i},{j}) has scale {w.scale}")
-            if not verify_witness(points, shape, i, j, w):
-                raise WitnessVerificationError(
-                    f"witness for edge ({i},{j}) fails membership re-check: "
-                    f"t={w.translation} scale={w.scale}")
-            edges.append(Edge(i, j, w))
+            w = _edge_search(points, shape, i, j, mode, mems, outside)
+            if w is not None:
+                edges.append(Edge(i, j, w))
     return GeometricGraph(points, shape, mode, tuple(edges))
 
 

@@ -239,8 +239,8 @@ def run_triangulate_check(trials: int, seed: int):
     failure is a violation as in ``run_fuzz``, and its trial is skipped.
 
     ``matches=`` counts trials whose homothet graph is ``triangulated``:
-    connected with every bounded face a triangle (the outer-face count,
-    see ``planarity.TriangulationReport``).  The convex-hull count
+    connected with every bounded face a triangle (Euler: E - n + 1 empty
+    3-cycles, see ``planarity.TriangulationReport``).  The convex-hull count
     ``matches`` is not used, since a polygonal shape need not reach it.
     A miss is excused by a 4-point boundary degeneracy."""
     applicable = matches = excused = unexplained = 0
@@ -320,11 +320,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("triangulate-check",
-                       help="count generic bounded homothet graphs whose "
-                            "bounded faces are all triangles",
-                       description="matches= counts graphs with E = 3n-3-k "
-                                   "edges, k the outer-face walk length, "
-                                   "i.e. every bounded face a triangle.  The "
+                       help="count generic bounded homothet graphs with "
+                            "every bounded face a triangle (Euler: E-n+1 "
+                            "empty 3-cycles)",
+                       description="matches= counts connected graphs with "
+                                   "every bounded face a triangle (Euler: "
+                                   "E-n+1 empty 3-cycles).  The "
                                    "convex-hull count 3n-3-h is not used: a "
                                    "polygonal shape need not reach it.  "
                                    "Exit 2 on a miss that no 4-point "

@@ -18,12 +18,6 @@ class Point2:
     x: Fraction
     y: Fraction
 
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
 
 def point(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))

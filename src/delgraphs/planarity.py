@@ -1,5 +1,5 @@
 """Plane-graph verification of straight-line drawings, the triangulation
-edge-count check, and exact degeneracy diagnostics.
+face check, and exact degeneracy diagnostics.
 
 A drawing is a plane graph when (1) no vertex lies on a non-incident
 edge and (2) edges meet only at shared endpoints.  Both conditions are
@@ -11,11 +11,11 @@ preserves every orientation and incidence predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 
 from .geometry import (Point2, Segment, SegmentRelation, convex_hull,
-                       on_closed_segment, scale_to_integers, segments_cross)
+                       on_closed_segment, orient, scale_to_integers,
+                       segments_cross)
 from .region import LinearConstraint, feasible
 from .builder import GeometricGraph, first_leaf
 from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
@@ -66,106 +66,72 @@ class TriangulationReport:
     ``matches`` compares with 3n - 3 - h (h = ``hull_size``), the count of
     a triangulation of the point set.  A polygonal shape need not reach
     it: a convex-hull pair can be a true non-edge.  ``triangulated`` is
-    the verdict: the graph is connected and has 3n - 3 - k edges
-    (k = ``outer_size``, the outer-face walk length), which holds exactly
-    when every bounded face is a triangle.  ``outer_size`` is 0 for a
-    disconnected graph; both verdicts are False when not applicable.
+    the verdict: the graph is connected with every bounded face a
+    triangle (Euler: E - n + 1 empty 3-cycles).  Both verdicts are False
+    when not applicable.
     """
     applicable: bool
     edge_count: int
     hull_size: int
     expected_count: int
     matches: bool
-    outer_size: int
     connected: bool
     triangulated: bool
 
 
 def triangulation_check(g: GeometricGraph) -> TriangulationReport:
     """Compare the edge count of a plane drawing against 3n - 3 - h, the
-    convex-hull count, and against 3n - 3 - k, the outer-face count (see
+    convex-hull count, and decide whether every bounded face is a
+    triangle (Euler: E - n + 1 empty 3-cycles; see
     ``TriangulationReport``).  Undefined for n < 3 or fully collinear
     sets, reported as not applicable."""
     n = len(g.points)
     e = len(g.edges)
     scaled, _ = scale_to_integers(list(g.points.points))
-    connected, k = _outer_face_walk(scaled, [(ed.i, ed.j) for ed in g.edges])
+    pts = [Point2(x, y) for x, y in scaled]
+    connected, triangles = _faces_are_triangles(pts, [(ed.i, ed.j) for ed in g.edges])
     if n < 3:
-        return TriangulationReport(False, e, 0, 0, False, k, connected, False)
-    hull = convex_hull([Point2(x, y) for x, y in scaled])
-    h = len(hull)
+        return TriangulationReport(False, e, 0, 0, False, connected, False)
+    h = len(convex_hull(pts))
     if h <= 2:
-        return TriangulationReport(False, e, h, 0, False, k, connected, False)
+        return TriangulationReport(False, e, h, 0, False, connected, False)
     expected = 3 * n - 3 - h
-    return TriangulationReport(True, e, h, expected, e == expected, k,
-                               connected, connected and e == 3 * n - 3 - k)
+    return TriangulationReport(True, e, h, expected, e == expected,
+                               connected, triangles)
 
 
-def _half(d: tuple[int, int]) -> int:
-    """0 for directions at angles [0, pi), 1 for [pi, 2 pi)."""
-    return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+def _faces_are_triangles(pts: list[Point2],
+                         edges: list[IndexEdge]) -> tuple[bool, bool]:
+    """(connected, every bounded face a triangle) for a plane
+    straight-line drawing; both False when not connected.
 
-
-def _ccw_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Exact counterclockwise order of nonzero integer directions,
-    starting at angle 0: half-plane first, then the cross product."""
-    if _half(a) != _half(b):
-        return _half(a) - _half(b)
-    cross = a[0] * b[1] - a[1] * b[0]
-    return (cross < 0) - (cross > 0)
-
-
-def _outer_face_walk(pts: list[tuple[int, int]],
-                     edges: list[IndexEdge]) -> tuple[bool, int]:
-    """(connected, k) for a plane straight-line drawing on integer
-    points, where k is the length of the closed walk around the outer
-    face, a bridge counted once per side; k is 0 when not connected.
-
-    Neighbours are kept in counterclockwise order.  Entering v from u,
-    the walk leaves along the neighbour next clockwise from u, which
-    keeps the current face on its left.  It starts at the lowest vertex
-    v0 in (x, y) order: the ray from v0 towards -x meets nothing, so the
-    dart from v0 to its neighbour first clockwise from that ray has the
-    outer face on its left.
+    A connected plane drawing has E - n + 1 bounded faces (Euler).  A
+    3-cycle with no point strictly inside bounds one of them, since no
+    edge can enter it, and a triangular face is such a 3-cycle; so the
+    faces are all triangles iff there are E - n + 1 empty 3-cycles.
     """
-    n = len(pts)
-    if n == 0:
-        return True, 0
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list[set[int]] = [set() for _ in pts]
     for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    reached = {0}
-    stack = [0]
+        adj[i].add(j)
+        adj[j].add(i)
+    stack = [0] if pts else []
+    reached = set(stack)
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) < n:
-        return False, 0
-    slot = {}
-    for v in range(n):
-        vx, vy = pts[v]
-        adj[v].sort(key=cmp_to_key(lambda a, b: _ccw_cmp(
-            (pts[a][0] - vx, pts[a][1] - vy), (pts[b][0] - vx, pts[b][1] - vy))))
-        for idx, w in enumerate(adj[v]):
-            slot[v, w] = idx
-    v0 = min(range(n), key=pts.__getitem__)
-    if not adj[v0]:
-        return True, 0  # a single vertex
-    # -x is the first direction of half 1 and no neighbour of v0 lies on
-    # it, so its clockwise predecessor follows the neighbours in half 0
-    upper = sum(1 for w in adj[v0]
-                if _half((pts[w][0] - pts[v0][0], pts[w][1] - pts[v0][1])) == 0)
-    start = (v0, adj[v0][upper - 1])
-    u, v = start
-    k = 0
-    while True:
-        k += 1
-        u, v = v, adj[v][slot[v, u] - 1]
-        if (u, v) == start:
-            return True, k
+        for w in adj[stack.pop()] - reached:
+            reached.add(w)
+            stack.append(w)
+    if len(reached) < len(pts):
+        return False, False
+    empty = 0
+    for i, a in enumerate(pts):
+        for j in adj[i]:
+            for k in adj[i] & adj[j]:
+                if i < j < k:
+                    b, c = pts[j], pts[k]
+                    empty += not any(
+                        orient(a, b, p) == orient(b, c, p) == orient(c, a, p) != 0
+                        for p in pts)
+    return True, empty == len(edges) - len(pts) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -80,21 +80,15 @@ def membership_constraints(shape: ConvexShape, p: Point2, mode: str) -> list[Lin
     -a.t - b*lam <= -a.p.  The global lam > 0 constraint is the caller's
     responsibility (one per cell, not one per point).
     """
-    out = []
-    if mode == TRANSLATE:
-        for h in shape.halfplanes:
-            out.append(LinearConstraint(
-                (-h.a[0], -h.a[1]),
-                h.b - (h.a[0] * p.x + h.a[1] * p.y),
-                h.strict))
-    elif mode == HOMOTHET:
-        for h in shape.halfplanes:
-            out.append(LinearConstraint(
-                (-h.a[0], -h.a[1], -h.b),
-                -(h.a[0] * p.x + h.a[1] * p.y),
-                h.strict))
-    else:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    out = []
+    for h in shape.halfplanes:
+        coeffs = (-h.a[0], -h.a[1], -h.b)
+        bound = -(h.a[0] * p.x + h.a[1] * p.y)
+        if mode == TRANSLATE:  # lam = 1: the lam column moves into the bound
+            coeffs, bound = coeffs[:2], bound + h.b
+        out.append(LinearConstraint(coeffs, bound, h.strict))
     return out
 
 

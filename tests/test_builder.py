@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs.builder import (Edge, GeometricGraph, PointSet, build_graph,
+from delgraphs import builder
+from delgraphs.builder import (Edge, GeometricGraph, PointSet,
+                               WitnessVerificationError, build_graph,
                                edge_feasible, is_subgraph, verify_witness)
 from delgraphs.geometry import point
 from delgraphs.instances import generate_instance, sampled_edges
@@ -49,6 +51,12 @@ def test_edge_feasible_square_corners_homothet():
 def test_edge_feasible_same_index_rejected():
     with pytest.raises(ValueError):
         edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 1, 1, TRANSLATE)
+
+
+def test_edge_feasible_rechecks_its_witness(monkeypatch):
+    monkeypatch.setattr(builder, "verify_witness", lambda *args: False)
+    with pytest.raises(WitnessVerificationError):
+        edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 0, 1, HOMOTHET)
 
 
 def test_build_graph_single_point():

@@ -37,8 +37,9 @@ def test_orient_antisymmetry(p, q, r):
 
 @given(points, points, points, frac, frac)
 def test_orient_translation_invariant(p, q, r, dx, dy):
-    d = Point2(dx, dy)
-    assert orient(p + d, q + d, r + d) == orient(p, q, r)
+    def shift(v):
+        return Point2(v.x + dx, v.y + dy)
+    assert orient(shift(p), shift(q), shift(r)) == orient(p, q, r)
 
 
 @given(points, points, points)

@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from delgraphs import backend
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
-from delgraphs.geometry import convex_hull, point
+from delgraphs.geometry import (Segment, SegmentRelation, convex_hull,
+                                on_closed_segment, orient, point,
+                                segments_cross)
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import (collinear_triples, find_boundary_degeneracy,
                                  on_common_homothet_boundary,
@@ -85,7 +88,7 @@ def test_triangulation_square_corners_mismatch():
     assert rep.applicable
     assert rep.edge_count == 4 and rep.hull_size == 4
     assert rep.expected_count == 5 and not rep.matches
-    assert rep.outer_size == 4 and rep.connected and not rep.triangulated
+    assert rep.connected and not rep.triangulated
 
 
 def test_triangulation_three_generic_points():
@@ -221,24 +224,66 @@ CONCAVE = [(0, 0), (2, 1), (4, 0), (2, 4)]  # (2, 1) is a reflex corner
 CONCAVE_CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 
-@pytest.mark.parametrize("coords,edges,outer,triangulated", [
+@pytest.mark.parametrize("coords,edges,connected,triangulated", [
     ([(0, 0), (6, 0), (0, 6), (1, 1)],
-     [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], 3, True),
+     [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], True, True),
     ([(0, 0), (2, 0), (0, 2), (2, 2)],
-     [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)], 4, True),
-    ([(0, 0), (1, 1), (2, 0)], [(0, 1), (1, 2)], 4, True),  # no bounded face
-    ([(0, 0), (4, 0), (0, 4), (5, 5)], [(0, 1), (0, 2), (1, 2), (1, 3)], 5, True),
-    (CONCAVE, CONCAVE_CYCLE, 4, False),  # the bounded face is a quadrilateral
-    (CONCAVE, CONCAVE_CYCLE + [(1, 3)], 4, True),
-    ([(0, 0), (4, 0), (0, 4), (9, 9)], [(0, 1), (0, 2), (1, 2)], 0, False),
+     [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)], True, True),
+    ([(0, 0), (1, 1), (2, 0)], [(0, 1), (1, 2)], True, True),  # no bounded face
+    ([(0, 0), (4, 0), (0, 4), (5, 5)], [(0, 1), (0, 2), (1, 2), (1, 3)], True, True),
+    (CONCAVE, CONCAVE_CYCLE, True, False),  # the bounded face is a quadrilateral
+    (CONCAVE, CONCAVE_CYCLE + [(1, 3)], True, True),
+    ([(0, 0), (4, 0), (0, 4), (9, 9)], [(0, 1), (0, 2), (1, 2)], False, False),
 ], ids=["triangle-centre", "square-diagonal", "path", "triangle-pendant",
         "concave", "concave-split", "disconnected"])
-def test_outer_face_walk(coords, edges, outer, triangulated):
+def test_outer_face_walk(coords, edges, connected, triangulated):
     P = PointSet(tuple(point(x, y) for x, y in coords))
     rep = triangulation_check(drawing(P, edges))
     assert rep.applicable and rep.edge_count == len(edges)
-    assert rep.outer_size == outer and rep.triangulated == triangulated
-    assert rep.connected == (outer > 0)
+    assert rep.triangulated == triangulated and rep.connected == connected
+
+
+def greedy_plane_drawing(rng, pts) -> list[tuple[int, int]]:
+    """A maximal plane drawing on ``pts``: every segment in random order,
+    kept if it passes through no other point and crosses or overlaps no
+    kept edge."""
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    rng.shuffle(pairs)
+    edges = []
+    for i, j in pairs:
+        s = Segment(pts[i], pts[j])
+        if any(on_closed_segment(p, s) for k, p in enumerate(pts) if k not in (i, j)):
+            continue
+        if all(segments_cross(s, Segment(pts[a], pts[b]))
+               is not SegmentRelation.CROSSING_OR_OVERLAPPING for a, b in edges):
+            edges.append((i, j))
+    return edges
+
+
+def test_triangulated_verdict_on_maximal_plane_drawings():
+    # A maximal plane drawing triangulates its points, so every bounded
+    # face is a triangle.  Removing an edge with points strictly on both
+    # sides of its line merges two triangles; removing a hull edge merges
+    # one triangle into the outer face and leaves a triangulated drawing.
+    rng = random.Random(12)
+    grid = list(itertools.product(range(5), repeat=2))
+    drawings = removals = merged = 0
+    for _ in range(400):
+        P = PointSet(tuple(point(x, y) for x, y in rng.sample(grid, rng.randint(3, 8))))
+        edges = greedy_plane_drawing(rng, P.points)
+        rep = triangulation_check(drawing(P, edges))
+        if not rep.applicable:
+            continue
+        assert rep.triangulated, (P, edges)
+        drawings += 1
+        for i, j in edges:
+            interior = {-1, 1} <= {orient(P[i], P[j], p) for p in P.points}
+            rest = [e for e in edges if e != (i, j)]
+            assert triangulation_check(drawing(P, rest)).triangulated \
+                == (not interior), (P, edges, (i, j))
+            removals += 1
+            merged += interior
+    assert drawings >= 350 and removals >= 3000 and merged >= 1000
 
 
 def test_seed_7003_hull_pair_is_a_true_non_edge():
@@ -249,7 +294,7 @@ def test_seed_7003_hull_pair_is_a_true_non_edge():
     hull_pairs = {tuple(sorted(p)) for p in zip(hull, hull[1:] + hull[:1])}
     assert (0, 4) in hull_pairs and (0, 4) not in g.edge_pairs()
     rep = triangulation_check(g)
-    assert rep.hull_size == 5 and rep.outer_size == 6
+    assert rep.hull_size == 5
     assert not rep.matches and rep.triangulated
 
     # Independent of the exact simplex: a homothet lam*C + t holding p0 and
