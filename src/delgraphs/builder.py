@@ -114,9 +114,6 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     if final is None:  # the leaf was certified nonempty on the way down
         raise AssertionError("feasible cell became infeasible")
     w = _witness_from(final, mode)
-    if mode == TRANSLATE and w.scale != 1:
-        raise WitnessVerificationError(
-            f"translate witness for ({i},{j}) has scale {w.scale}")
     if not verify_witness(points, shape, i, j, w):
         raise WitnessVerificationError(
             f"witness for edge ({i},{j}) fails membership re-check: "

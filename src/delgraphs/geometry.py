@@ -8,7 +8,6 @@ containment, feasibility and planarity checks in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 
@@ -33,12 +32,6 @@ class Segment:
             raise ValueError(f"degenerate segment at {self.a}")
 
 
-class SegmentRelation(Enum):
-    DISJOINT = "disjoint"
-    SHARED_ENDPOINT_ONLY = "shared-endpoint-only"
-    CROSSING_OR_OVERLAPPING = "crossing-or-overlapping"
-
-
 def orient(p: Point2, q: Point2, r: Point2) -> int:
     """Sign of the cross product (q-p) x (r-p).
 
@@ -60,48 +53,6 @@ def on_closed_segment(p: Point2, s: Segment) -> bool:
     lo_x, hi_x = (s.a.x, s.b.x) if s.a.x <= s.b.x else (s.b.x, s.a.x)
     lo_y, hi_y = (s.a.y, s.b.y) if s.a.y <= s.b.y else (s.b.y, s.a.y)
     return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
-
-
-def segments_cross(s1: Segment, s2: Segment) -> SegmentRelation:
-    """Exact classification of the intersection of two closed segments.
-
-    SHARED_ENDPOINT_ONLY means the intersection is a single point that is
-    an endpoint of both segments.  Any other nonempty intersection (proper
-    crossing, T-contact at a non-endpoint, collinear overlap) is
-    CROSSING_OR_OVERLAPPING.
-    """
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        # All on one line: compare 1D intervals along the dominant axis.
-        if a.x != b.x:
-            key = lambda p: p.x
-        else:
-            key = lambda p: p.y
-        lo1, hi1 = sorted((key(a), key(b)))
-        lo2, hi2 = sorted((key(c), key(d)))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return SegmentRelation.DISJOINT
-        if lo == hi:
-            return SegmentRelation.SHARED_ENDPOINT_ONLY
-        return SegmentRelation.CROSSING_OR_OVERLAPPING
-
-    if o1 * o2 > 0 or o3 * o4 > 0:
-        return SegmentRelation.DISJOINT
-
-    # The segments are not all collinear, so if they meet at all they meet
-    # in exactly one point x.  o3 == 0 means a lies on line(c,d); since the
-    # two supporting lines intersect only at x, that forces x == a, and
-    # symmetrically for the other three endpoints.
-    if (o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0):
-        return SegmentRelation.SHARED_ENDPOINT_ONLY
-    return SegmentRelation.CROSSING_OR_OVERLAPPING
 
 
 def convex_hull(points: list[Point2]) -> list[Point2]:

@@ -5,7 +5,10 @@ A drawing is a plane graph when (1) no vertex lies on a non-incident
 edge and (2) edges meet only at shared endpoints.  Both conditions are
 checked exhaustively and exactly; to keep the all-pairs scans cheap the
 rational coordinates are first mapped onto a common integer grid, which
-preserves every orientation and incidence predicate.
+preserves every orientation and incidence predicate.  Two edges that
+meet without crossing properly meet at an endpoint of one of them, on
+the other edge; so condition 2 is the proper crossings plus the pairs
+that a condition-1 incidence at an endpoint links.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import (Point2, Segment, SegmentRelation, convex_hull,
-                       on_closed_segment, orient, scale_to_integers,
-                       segments_cross)
+from .geometry import (Point2, Segment, convex_hull, on_closed_segment,
+                       orient, scale_to_integers)
 from .region import LinearConstraint, feasible
 from .builder import GeometricGraph, first_leaf
 from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
@@ -33,29 +35,39 @@ class PlanarityReport:
         return not self.condition1_violations and not self.condition2_violations
 
 
+def _grid(points) -> list[Point2]:
+    """The points on their common integer grid (``scale_to_integers``)."""
+    scaled, _ = scale_to_integers(list(points))
+    return [Point2(x, y) for x, y in scaled]
+
+
 def verify_plane(g: GeometricGraph) -> PlanarityReport:
-    """Exhaustive exact check of both plane-graph conditions."""
-    scaled, _ = scale_to_integers(list(g.points.points))
-    pts = [Point2(x, y) for x, y in scaled]
+    """Exhaustive exact check of both plane-graph conditions.
+
+    Two edges that meet but do not cross properly (strictly opposite
+    orientation signs both ways) meet at an endpoint of one of them: a
+    zero sign between non-collinear edges puts that endpoint at the
+    meeting point, and a collinear overlap ends at endpoints.  The points
+    are distinct, so that endpoint is shared or is a condition-1
+    incidence; condition 2 lists the proper crossings and the pairs
+    condition 1 links.
+    """
+    pts = _grid(g.points.points)
     edges = [(e.i, e.j) for e in g.edges]
     segs = {(i, j): Segment(pts[i], pts[j]) for i, j in edges}
-
     cond1 = []
     for v in range(len(pts)):
-        for (i, j) in edges:
-            if v == i or v == j:
-                continue
-            if on_closed_segment(pts[v], segs[(i, j)]):
-                cond1.append((v, (i, j)))
-
+        for e in edges:
+            if v not in e and on_closed_segment(pts[v], segs[e]):
+                cond1.append((v, e))
+    linked = {p for v, f in cond1 for e in edges if v in e
+              for p in ((e, f), (f, e))}
     cond2 = []
-    for e1, e2 in combinations(edges, 2):
-        if len({e1[0], e1[1], e2[0], e2[1]}) == 2:
-            continue  # cannot happen with deduplicated edges, kept defensive
-        rel = segments_cross(segs[e1], segs[e2])
-        if rel is SegmentRelation.CROSSING_OR_OVERLAPPING:
-            cond2.append((e1, e2))
-
+    for e, f in combinations(edges, 2):
+        a, b, c, d = pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]]
+        if (e, f) in linked or (orient(a, b, c) * orient(a, b, d) < 0
+                                and orient(c, d, a) * orient(c, d, b) < 0):
+            cond2.append((e, f))
     return PlanarityReport(tuple(cond1), tuple(cond2))
 
 
@@ -87,8 +99,7 @@ def triangulation_check(g: GeometricGraph) -> TriangulationReport:
     sets, reported as not applicable."""
     n = len(g.points)
     e = len(g.edges)
-    scaled, _ = scale_to_integers(list(g.points.points))
-    pts = [Point2(x, y) for x, y in scaled]
+    pts = _grid(g.points.points)
     connected, triangles = _faces_are_triangles(pts, [(ed.i, ed.j) for ed in g.edges])
     if n < 3:
         return TriangulationReport(False, e, 0, 0, False, connected, False)
@@ -139,13 +150,9 @@ def _faces_are_triangles(pts: list[Point2],
 # ---------------------------------------------------------------------------
 
 def collinear_triples(points) -> list[tuple[int, int, int]]:
-    scaled, _ = scale_to_integers(list(points))
-    out = []
-    for i, j, k in combinations(range(len(scaled)), 3):
-        (ax, ay), (bx, by), (cx, cy) = scaled[i], scaled[j], scaled[k]
-        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
-            out.append((i, j, k))
-    return out
+    pts = _grid(points)
+    return [(i, j, k) for i, j, k in combinations(range(len(pts)), 3)
+            if orient(pts[i], pts[j], pts[k]) == 0]
 
 
 def on_common_homothet_boundary(points, shape: ConvexShape,

@@ -356,6 +356,12 @@ def test_python_dash_m_package_runs_the_cli(good_file):
     assert r.returncode == 1 and "--input" in r.stderr
 
 
+def test_package_exports_resolve():
+    missing = [name for name in delgraphs.__all__ if not hasattr(delgraphs, name)]
+    assert missing == []
+    assert len(set(delgraphs.__all__)) == len(delgraphs.__all__)
+
+
 def test_cli_runs_clean_with_warnings_as_errors():
     r = subprocess.run([sys.executable, "-W", "error", "-m", "delgraphs",
                         "triangulate-check", "--trials", "1", "--seed", "8"],

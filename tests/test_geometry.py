@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delgraphs import instances, region
-from delgraphs.geometry import (Point2, Segment, SegmentRelation,
-                                clear_denominators, convex_hull,
-                                on_closed_segment, orient, point,
-                                scale_to_integers, segments_cross)
+from delgraphs.geometry import (Point2, Segment, clear_denominators,
+                                convex_hull, on_closed_segment, orient, point,
+                                scale_to_integers)
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.shape import HOMOTHET, MODES, TRANSLATE, membership_constraints
 
@@ -70,57 +69,6 @@ def test_on_closed_segment_examples():
 def test_degenerate_segment_rejected():
     with pytest.raises(ValueError):
         Segment(point(1, 1), point(1, 1))
-
-
-def test_segments_cross_examples():
-    assert segments_cross(seg(0, 0, 2, 2), seg(0, 2, 2, 0)) \
-        is SegmentRelation.CROSSING_OR_OVERLAPPING
-    assert segments_cross(seg(0, 0, 1, 0), seg(1, 0, 1, 1)) \
-        is SegmentRelation.SHARED_ENDPOINT_ONLY
-    assert segments_cross(seg(0, 0, 1, 0), seg(0, 1, 1, 1)) \
-        is SegmentRelation.DISJOINT
-
-
-def test_segments_cross_touch_and_overlap_cases():
-    # T-contact at a non-endpoint is a violation, not a shared endpoint
-    assert segments_cross(seg(0, 0, 2, 0), seg(1, 0, 1, 1)) \
-        is SegmentRelation.CROSSING_OR_OVERLAPPING
-    # collinear overlap
-    assert segments_cross(seg(0, 0, 2, 0), seg(1, 0, 3, 0)) \
-        is SegmentRelation.CROSSING_OR_OVERLAPPING
-    # collinear, meeting at one endpoint only
-    assert segments_cross(seg(0, 0, 1, 0), seg(1, 0, 2, 0)) \
-        is SegmentRelation.SHARED_ENDPOINT_ONLY
-    # collinear, disjoint
-    assert segments_cross(seg(0, 0, 1, 0), seg(2, 0, 3, 0)) \
-        is SegmentRelation.DISJOINT
-    # identical segments overlap
-    assert segments_cross(seg(0, 0, 1, 1), seg(0, 0, 1, 1)) \
-        is SegmentRelation.CROSSING_OR_OVERLAPPING
-    # vertical collinear pair sharing an endpoint
-    assert segments_cross(seg(0, 0, 0, 1), seg(0, 1, 0, 3)) \
-        is SegmentRelation.SHARED_ENDPOINT_ONLY
-    # endpoint of one interior to the other, non-collinear
-    assert segments_cross(seg(0, 0, 2, 2), seg(1, 1, 5, 0)) \
-        is SegmentRelation.CROSSING_OR_OVERLAPPING
-
-
-@given(points, points, points, points)
-@settings(max_examples=300)
-def test_segments_cross_symmetric(a, b, c, d):
-    if a == b or c == d:
-        return
-    s1, s2 = Segment(a, b), Segment(c, d)
-    assert segments_cross(s1, s2) is segments_cross(s2, s1)
-
-
-@given(points, points, points, points)
-@settings(max_examples=300)
-def test_segments_cross_endpoint_reversal_invariant(a, b, c, d):
-    if a == b or c == d:
-        return
-    rel = segments_cross(Segment(a, b), Segment(c, d))
-    assert segments_cross(Segment(b, a), Segment(d, c)) is rel
 
 
 def test_convex_hull_examples():

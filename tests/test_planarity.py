@@ -1,14 +1,15 @@
 import itertools
 import random
+from enum import Enum
 from fractions import Fraction
 
 import pytest
 
 from delgraphs import backend
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
-from delgraphs.geometry import (Segment, SegmentRelation, convex_hull,
+from delgraphs.geometry import (Point2, Segment, convex_hull,
                                 on_closed_segment, orient, point,
-                                segments_cross)
+                                scale_to_integers)
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import (collinear_triples, find_boundary_degeneracy,
                                  on_common_homothet_boundary,
@@ -69,6 +70,114 @@ def test_rational_coordinates_handled_exactly():
     P_off = PointSet((point(0, 0), point(1, top),
                       point(F(1, 2), top / 2 - F(1, 2 * 10**12))))
     assert verify_plane(drawing(P_off, [(0, 1)])).is_plane
+
+
+@pytest.mark.parametrize("coords,edges,cond1,cond2", [
+    ([(0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (2, 3)], (), (((0, 1), (2, 3)),)),
+    ([(0, 0), (2, 0), (1, 0), (1, 1)], [(0, 1), (2, 3)],
+     ((2, (0, 1)),), (((0, 1), (2, 3)),)),
+    ([(0, 0), (2, 0), (1, 0), (3, 0)], [(0, 1), (2, 3)],
+     ((1, (2, 3)), (2, (0, 1))), (((0, 1), (2, 3)),)),
+    ([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)], (), ()),
+    ([(0, 0), (0, 1), (0, 3)], [(0, 1), (1, 2)], (), ()),
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 1), (2, 3)], (), ()),
+    ([(0, 0), (1, 0), (1, 1)], [(0, 1), (1, 2)], (), ()),
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1), (2, 3)], (), ()),
+    ([(0, 0), (1, 1)], [(0, 1), (0, 1)], (), ()),
+    ([(0, 0), (2, 2), (1, 1), (5, 0)], [(0, 1), (2, 3)],
+     ((2, (0, 1)),), (((0, 1), (2, 3)),)),
+], ids=["proper-crossing", "t-contact", "collinear-overlap",
+        "collinear-shared-endpoint", "vertical-collinear-shared-endpoint",
+        "collinear-disjoint", "shared-endpoint-at-an-angle", "disjoint",
+        "repeated-edge", "endpoint-inside-not-collinear"])
+def test_two_edge_drawings(coords, edges, cond1, cond2):
+    P = PointSet(tuple(point(x, y) for x, y in coords))
+    rep = verify_plane(drawing(P, edges))
+    assert rep.condition1_violations == cond1
+    assert rep.condition2_violations == cond2
+
+
+class SegmentRelation(Enum):
+    DISJOINT = "disjoint"
+    SHARED_ENDPOINT_ONLY = "shared-endpoint-only"
+    CROSSING_OR_OVERLAPPING = "crossing-or-overlapping"
+
+
+def segments_cross(s1: Segment, s2: Segment) -> SegmentRelation:
+    """Exact classification of the intersection of two closed segments.
+
+    SHARED_ENDPOINT_ONLY means the intersection is a single point that is
+    an endpoint of both segments.  Any other nonempty intersection (proper
+    crossing, T-contact at a non-endpoint, collinear overlap) is
+    CROSSING_OR_OVERLAPPING.
+    """
+    a, b = s1.a, s1.b
+    c, d = s2.a, s2.b
+    o1 = orient(a, b, c)
+    o2 = orient(a, b, d)
+    o3 = orient(c, d, a)
+    o4 = orient(c, d, b)
+
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # All on one line: compare 1D intervals along the dominant axis.
+        if a.x != b.x:
+            key = lambda p: p.x
+        else:
+            key = lambda p: p.y
+        lo1, hi1 = sorted((key(a), key(b)))
+        lo2, hi2 = sorted((key(c), key(d)))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return SegmentRelation.DISJOINT
+        if lo == hi:
+            return SegmentRelation.SHARED_ENDPOINT_ONLY
+        return SegmentRelation.CROSSING_OR_OVERLAPPING
+
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return SegmentRelation.DISJOINT
+
+    # The segments are not all collinear, so if they meet at all they meet
+    # in exactly one point x.  o3 == 0 means a lies on line(c,d); since the
+    # two supporting lines intersect only at x, that forces x == a, and
+    # symmetrically for the other three endpoints.
+    if (o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0):
+        return SegmentRelation.SHARED_ENDPOINT_ONLY
+    return SegmentRelation.CROSSING_OR_OVERLAPPING
+
+
+def plane_by_segment_classifier(g):
+    """Reference plane check: condition 1 as ``verify_plane`` states it,
+    condition 2 from the three-way classifier above on every edge pair
+    with two distinct endpoint sets."""
+    scaled, _ = scale_to_integers(list(g.points.points))
+    pts = [Point2(x, y) for x, y in scaled]
+    edges = [(e.i, e.j) for e in g.edges]
+    segs = {(i, j): Segment(pts[i], pts[j]) for i, j in edges}
+    cond1 = [(v, (i, j)) for v in range(len(pts)) for (i, j) in edges
+             if v != i and v != j and on_closed_segment(pts[v], segs[(i, j)])]
+    cond2 = [(e1, e2) for e1, e2 in itertools.combinations(edges, 2)
+             if len({*e1, *e2}) > 2 and segments_cross(segs[e1], segs[e2])
+             is SegmentRelation.CROSSING_OR_OVERLAPPING]
+    return tuple(cond1), tuple(cond2)
+
+
+def test_condition2_agrees_with_the_segment_classifier():
+    rng = random.Random(13)
+    crossed = 0
+    for _ in range(3000):
+        k = rng.randint(3, 5)
+        grid = list(itertools.product(range(k), repeat=2))
+        P = PointSet(tuple(point(x, y) for x, y in rng.sample(grid, rng.randint(2, 8))))
+        keep = rng.choice((0.25, 0.5, 0.75, 1.0))
+        edges = [e for e in itertools.combinations(range(len(P)), 2)
+                 if rng.random() < keep]
+        g = drawing(P, edges)
+        rep = verify_plane(g)
+        want = plane_by_segment_classifier(g)
+        assert (rep.condition1_violations, rep.condition2_violations) == want, \
+            (P, edges)
+        crossed += bool(want[1])
+    assert crossed >= 1000
 
 
 def test_verify_plane_monotone_under_edge_removal():
@@ -243,20 +352,15 @@ def test_outer_face_walk(coords, edges, connected, triangulated):
     assert rep.triangulated == triangulated and rep.connected == connected
 
 
-def greedy_plane_drawing(rng, pts) -> list[tuple[int, int]]:
-    """A maximal plane drawing on ``pts``: every segment in random order,
-    kept if it passes through no other point and crosses or overlaps no
-    kept edge."""
-    pairs = list(itertools.combinations(range(len(pts)), 2))
+def greedy_plane_drawing(rng, P) -> list[tuple[int, int]]:
+    """A maximal plane drawing on ``P``: every segment in random order,
+    kept if the drawing with it stays plane."""
+    pairs = list(itertools.combinations(range(len(P)), 2))
     rng.shuffle(pairs)
     edges = []
-    for i, j in pairs:
-        s = Segment(pts[i], pts[j])
-        if any(on_closed_segment(p, s) for k, p in enumerate(pts) if k not in (i, j)):
-            continue
-        if all(segments_cross(s, Segment(pts[a], pts[b]))
-               is not SegmentRelation.CROSSING_OR_OVERLAPPING for a, b in edges):
-            edges.append((i, j))
+    for e in pairs:
+        if verify_plane(drawing(P, edges + [e])).is_plane:
+            edges.append(e)
     return edges
 
 
@@ -270,7 +374,7 @@ def test_triangulated_verdict_on_maximal_plane_drawings():
     drawings = removals = merged = 0
     for _ in range(400):
         P = PointSet(tuple(point(x, y) for x, y in rng.sample(grid, rng.randint(3, 8))))
-        edges = greedy_plane_drawing(rng, P.points)
+        edges = greedy_plane_drawing(rng, P)
         rep = triangulation_check(drawing(P, edges))
         if not rep.applicable:
             continue
