@@ -30,14 +30,23 @@ multipliers y, every slack column is still present, so a row reading
 ``aux = rhs`` alone would force y = 0.
 
 Certified early exit: before the exact simplex, the same dictionary runs
-Phase I on floats (sign tests to 1e-9, a pivot cap).  If that ends below
-zero, the objective row holds at each row's slack slot its Farkas
+Phase I on floats (sign tests and ratio ties to 1e-9, a pivot cap per
+phase).  If that ends below zero, the objective row holds at each row's slack slot its Farkas
 multiplier, and the rows with a positive one (never the cap row) are the
 proposed support S.  ``farkas_weights`` decides S exactly: integer y >= 0
 with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
 would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
-sigma >= 0.  Otherwise the exact simplex decides alone, so the floats
-change only the speed, never an answer.
+sigma >= 0.
+
+Certified nonempty: when only "nonempty" is asked (``optimum=False``)
+and float Phase I ends at zero, the same dictionary runs Phase II on
+floats.  Its final basis leaves the tight rows as a square integer
+system in the basic x_j and s, solved exactly by Cramer's rule.  If that
+point meets every row exactly, with 0 <= s <= 1 and s > 0 unless no row
+is strict, x lies in the cell: a.x <= b - sigma*s < b on a strict row.
+Otherwise the exact simplex decides alone, so the floats change only the
+speed and, with ``optimum=False``, which point of a nonempty cell is
+returned; never a verdict.
 """
 
 from __future__ import annotations
@@ -48,9 +57,8 @@ from itertools import combinations
 from .rng import SplitMix64
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _FLOAT_EPS = 1e-9
-_FLOAT_PIVOTS = 200  # float Phase I cap; the benchmark's LPs need at most 14
+_FLOAT_PIVOTS = 200  # float cap per phase; the benchmark's LPs need at most 14
 
 
 def backend_name() -> str:
@@ -112,10 +120,14 @@ class _Dictionary:
                 raise LPError("pivot cap reached")
             steps += 1
             # ratio test, ties to the lowest basic id
-            r = min((i for i in range(len(tab) - 1) if tab[i][e] > eps),
-                    key=lambda i: (rhs[i] / tab[i][e], basic[i]), default=-1)
-            if r < 0:
+            ratio = {i: rhs[i] / tab[i][e] for i in range(len(tab) - 1) if tab[i][e] > eps}
+            if not ratio:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
+            if eps:  # floats: ratios within eps*(1 + |least|) of the least tie
+                low = (q := min(ratio.values())) + eps * (1 + abs(q))
+                r = min((i for i, q in ratio.items() if q <= low), key=basic.__getitem__)
+            else:
+                r = min(ratio, key=lambda i: (ratio[i], basic[i]))
             self.pivot(r, e)
         return rhs[-1]
 
@@ -149,19 +161,69 @@ class _Dictionary:
             del row[slot]
         return z
 
+    def phase_two(self, s_id, limit=None):
+        """Phase II: maximize the slack s (variable ``s_id``) from the
+        feasible dictionary Phase I left, and return its optimum."""
+        if s_id in self.basic:
+            r = self.basic.index(s_id)
+            self.tab.append(list(self.tab[r]))
+            self.rhs.append(self.rhs[r])
+        else:
+            self.tab.append([self.num(-(v == s_id)) for v in self.nonbasic])
+            self.rhs.append(self.num(0))
+        return self.bland(limit)
 
-def _farkas_support(dim, rows):
-    """Float Phase I's proposed support of a Farkas certificate (row indices),
-    or None when the floats see the LP feasible or fail (overflow, cap)."""
+
+def _float_proposal(dim, rows, vertex):
+    """One float run's proposal: ``(S, None)`` when Phase I ends below zero,
+    S the rows of a Farkas support; ``(None, point)`` when ``vertex`` and it
+    ends at zero, ``point`` the ``_basis_point`` of Phase II's final basis;
+    ``(None, None)`` otherwise, or when the floats fail (overflow, cap)."""
     try:
         lp = _Dictionary(dim, rows, float, _FLOAT_EPS)
-        if not lp.phase_one(_FLOAT_PIVOTS) < -_FLOAT_EPS:
-            return None
+        if lp.phase_one(_FLOAT_PIVOTS) < -_FLOAT_EPS:
+            first = 2 * dim + 1  # variable id of row 0's slack
+            return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
+                          if first <= v < first + len(rows) and y > _FLOAT_EPS), None
+        if not vertex:
+            return None, None
+        lp.phase_two(2 * dim, _FLOAT_PIVOTS)
     except (OverflowError, LPError):
+        return None, None
+    return None, _basis_point(dim, rows, lp.nonbasic)
+
+
+def _basis_point(dim, rows, nonbasic):
+    """The point where the variables ``nonbasic`` are zero, exactly: the
+    tight rows (the cap row s <= 1 included) solved for the basic x_j and
+    s by Cramer's rule, as integer numerators of (x_0, ..., s) over one
+    denominator > 0.  None when that system is not square or singular."""
+    first = 2 * dim + 1
+    data = [a + (sigma, b) for a, b, sigma in rows] + [(0,) * dim + (1, 1)]
+    free = [j for j in range(dim) if j not in nonbasic or dim + j not in nonbasic]
+    if 2 * dim not in nonbasic:
+        free.append(dim)  # s, in column dim of ``data``
+    tight = [v - first for v in nonbasic if v >= first]
+    m = [[data[i][j] for j in free] for i in tight]
+    den = _det(m) if len(tight) == len(free) else 0
+    if not den:
         return None
-    first = 2 * dim + 1  # variable id of row 0's slack
-    return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
-                  if first <= v < first + len(rows) and y > _FLOAT_EPS)
+    nums = [0] * (dim + 1)
+    for c, j in enumerate(free):
+        nums[j] = _det([row[:c] + [data[i][-1]] + row[c + 1:] for row, i in zip(m, tight)])
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    return nums, den
+
+
+def _certifies(rows, nums, den):
+    """Exact: the point (x, s) = ``nums`` / ``den`` (den > 0) meets every
+    row, 0 <= s <= 1, and s > 0 unless no row is strict; then x lies in
+    the cell, strictly inside every open half-space."""
+    *x, s = nums
+    return (0 <= s <= den and (s > 0 or not any(sigma for _, _, sigma in rows))
+            and all(sum(ai * xi for ai, xi in zip(a, x)) + sigma * s <= b * den
+                    for a, b, sigma in rows))
 
 
 def farkas_weights(rows):
@@ -189,32 +251,26 @@ def _det(m):
                for j in range(len(m)) if m[0][j]) if m else 1
 
 
-def solve_slack_lp(dim, rows):
+def solve_slack_lp(dim, rows, optimum=True):
     """Maximize the strict-constraint slack over integer rows.
 
     rows: sequence of (a: tuple of int, b: int, sigma: int >= 0).
     Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None).
+    With ``optimum`` False a feasible LP may return, instead of the
+    optimizer, any certified point (x, s): it meets every row, with
+    0 <= s <= 1 and s > 0 unless no row is strict.
     """
-    support = _farkas_support(dim, rows)
+    support, point = _float_proposal(dim, rows, not optimum)
     if support and farkas_weights([rows[i] for i in support]) is not None:
         return False, None, None
+    if point and _certifies(rows, *point):
+        nums, den = point
+        return True, tuple(Fraction(v, den) for v in nums[:-1]), Fraction(nums[-1], den)
     lp = _Dictionary(dim, rows, Fraction, 0)
     if lp.phase_one() < 0:
         return False, None, None
-
-    # Phase II: maximize s in the current dictionary.
-    tab, rhs, nonbasic, basic = lp.tab, lp.rhs, lp.nonbasic, lp.basic
-    s_id = 2 * dim
-    if s_id in basic:
-        r = basic.index(s_id)
-        tab.append(list(tab[r]))
-        rhs.append(rhs[r])
-    else:
-        tab.append([-_ONE if v == s_id else _ZERO for v in nonbasic])
-        rhs.append(_ZERO)
-    s = lp.bland()
-
-    val = dict(zip(basic, rhs))
+    s = lp.phase_two(2 * dim)
+    val = dict(zip(lp.basic, lp.rhs))
     x = tuple(val.get(j, _ZERO) - val.get(dim + j, _ZERO) for j in range(dim))
     return True, x, s
 

@@ -103,7 +103,7 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     if mode == HOMOTHET:
         base += (POSITIVE_SCALE,)
         dim = 3
-    x = feasible(dim, base)
+    x = feasible(dim, base, optimum=False)  # decides and seeds the first hint
     if x is None:
         return None
     levels = [outside[k] for k in range(len(mems)) if k != i and k != j]

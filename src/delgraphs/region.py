@@ -72,13 +72,15 @@ def contains_point(constraints, x: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
+def feasible(dim: int, constraints, optimum=True) -> tuple[Fraction, ...] | None:
     """Exact emptiness decision for the cell of Q^dim cut out by the tuple
     ``constraints``: None when it is empty, otherwise a witness strictly
-    inside all of its open half-spaces."""
+    inside all of its open half-spaces: the slack LP's optimizer, or with
+    ``optimum`` False any point of the cell the kernel certified exactly
+    (see ``backend``), fit to decide or hint but not to emit."""
     if any(len(c.coeffs) != dim for c in constraints):
         raise ValueError("constraint dimension mismatch")
-    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints])
+    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints], optimum=optimum)
     if not ok or (s == 0 and any(c.strict for c in constraints)):
         return None
     return x

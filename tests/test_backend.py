@@ -1,9 +1,11 @@
 """The exact slack LP kernel, called directly: its optimum against the
-brute-force oracle, its answers pinned over a fixed set of runs, and the
-certified early exit for infeasible LPs (the float proposal may change
-the speed, never an answer)."""
+brute-force oracle, its answers pinned over a fixed set of runs, the
+certified early exit for infeasible LPs and the certified points of
+nonempty base cells (a float proposal may change the speed, never a
+verdict)."""
 
 import copy
+import functools
 import hashlib
 import math
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import backend
+from delgraphs import backend, builder, planarity, region
 from delgraphs.builder import build_graph
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import find_boundary_degeneracy
@@ -78,8 +80,8 @@ def _run_pinned(monkeypatch):
     solve = backend.solve_slack_lp
     weights = backend.farkas_weights
 
-    def recording(dim, rows):
-        answer = solve(dim, rows)
+    def recording(dim, rows, optimum=True):
+        answer = solve(dim, rows, optimum=optimum)
         log.append(repr((dim, list(rows), answer)))
         return answer
 
@@ -129,9 +131,166 @@ WRONG_PROPOSERS = {
 
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_float_proposal_changes_no_answer(monkeypatch, name):
-    monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
+    propose = backend._float_proposal
+
+    def wrong(dim, rows, vertex):  # a wrong support beside the true vertex
+        return WRONG_PROPOSERS[name](dim, rows), propose(dim, rows, vertex)[1]
+
+    monkeypatch.setattr(backend, "_float_proposal", wrong)
     pins, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
+
+
+def _solved(dim, rows, num, eps):
+    """The dictionary after Phase I and Phase II over ``num``, or None
+    when Phase I ends below zero."""
+    lp = backend._Dictionary(dim, rows, num, eps)
+    limit = backend._FLOAT_PIVOTS if eps else None
+    if lp.phase_one(limit) < -eps:
+        return None
+    lp.phase_two(2 * dim, limit)
+    return lp
+
+
+def _exact_point(dim, rows):
+    """The exact optimizer (x, s) as (numerators, denominator), or None."""
+    lp = _solved(dim, rows, Fraction, 0)
+    return None if lp is None else backend._basis_point(dim, rows, lp.nonbasic)
+
+
+def _break_last_row(dim, rows):
+    """The exact optimizer moved along the last row's normal until it
+    breaks that row."""
+    point = _exact_point(dim, rows)
+    if point is None:
+        return None
+    (*x, s), den = point
+    a, b, sigma = rows[-1]
+    t = (b * den - sum(c * v for c, v in zip(a, x)) - sigma * s) // sum(c * c for c in a) + 1
+    return [v + t * c for v, c in zip(x, a)] + [s], den
+
+
+# Wrong vertex proposals: none at all, or a point that breaks a row.
+VERTEX_PROPOSERS = {
+    "never": lambda dim, rows: None,
+    "breaks-the-last-row": _break_last_row,
+}
+
+
+def _proposing(monkeypatch, vertex_proposer):
+    """Replace every vertex the floats propose with ``vertex_proposer``'s
+    point, and return the list of (proposed, replacement) pairs."""
+    propose = backend._float_proposal
+    seen = []
+
+    def replaced(dim, rows, vertex):
+        support, point = propose(dim, rows, vertex)
+        if point is None:
+            return support, None
+        seen.append((point, vertex_proposer(dim, rows)))
+        return None, seen[-1][1]
+
+    monkeypatch.setattr(backend, "_float_proposal", replaced)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_PROPOSERS))
+def test_wrong_vertex_proposal_changes_no_answer(monkeypatch, name):
+    seen = _proposing(monkeypatch, VERTEX_PROPOSERS[name])
+    pins, _ = _run_pinned(monkeypatch)
+    assert pins == PINNED
+    assert len(seen) > 100  # every base cell of the pinned runs asked
+
+
+def _zero_slack(dim, rows):
+    """The exact optimizer with s = 0: valid when no row is strict, and
+    otherwise perhaps on the boundary of an open half-space."""
+    point = _exact_point(dim, rows)
+    return point and (point[0][:-1] + [0], point[1])
+
+
+# Other points: Bland's rule on the reversed rows may end on another
+# optimal vertex, which is accepted and seeds other hints; s = 0 is
+# accepted only on cells with no strict row.
+OTHER_POINTS = {
+    "reversed-rows": lambda dim, rows: _exact_point(dim, rows[::-1]),
+    "zero-slack": _zero_slack,
+}
+WITNESS_BUILDS = PINNED_BUILDS + [generate_bounded_instance(116, 16, 6, TRANSLATE)]
+
+
+@functools.cache
+def _witness_edges():
+    return [build_graph(inst.points, inst.shape, mode).edges
+            for inst in WITNESS_BUILDS for mode in MODES]
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_POINTS))
+def test_other_points_change_no_witness(monkeypatch, name):
+    want = _witness_edges()
+    seen = _proposing(monkeypatch, OTHER_POINTS[name])
+    assert [build_graph(inst.points, inst.shape, mode).edges
+            for inst in WITNESS_BUILDS for mode in MODES] == want
+    assert sum(point != other for point, other in seen) > 10
+
+
+# Trial 46 of run_fuzz(50, 7, 10, 7, None).  Unless the float ratio test
+# ties ratios within eps, 3 of its base LPs end on another optimal basis.
+FUZZ_TRIAL_46 = generate_instance(9978910741668045578, 9, 5, TRANSLATE, Fraction(1, 4))
+
+
+def test_float_ratio_ties_reach_the_exact_basis(monkeypatch):
+    base = []
+    solve = backend.solve_slack_lp
+
+    def capturing(dim, rows, optimum=True):
+        if not optimum:
+            base.append((dim, list(rows)))
+        return solve(dim, rows, optimum=optimum)
+
+    monkeypatch.setattr(backend, "solve_slack_lp", capturing)
+    for mode in MODES:
+        build_graph(FUZZ_TRIAL_46.points, FUZZ_TRIAL_46.shape, mode)
+    feasible = 0
+    for dim, rows in base:
+        exact = _solved(dim, rows, Fraction, 0)
+        if exact is not None:
+            feasible += 1
+            approx = _solved(dim, rows, float, backend._FLOAT_EPS)
+            assert sorted(approx.basic) == sorted(exact.basic), rows
+    assert feasible > 20
+
+
+def test_certified_base_cells_agree_with_the_exact_solve(monkeypatch):
+    """Base cells of seeded builds in both modes and of the boundary scan:
+    the certified verdict is the exact one, and each certified point lies
+    in its cell."""
+    cells = []
+    for module in (builder, planarity):
+        def capturing(dim, cs, optimum=True, feasible=module.feasible, name=module.__name__):
+            if not optimum:
+                cells.append((name, dim, cs))
+            return feasible(dim, cs, optimum=optimum)
+        monkeypatch.setattr(module, "feasible", capturing)
+    for seed in range(12):
+        inst = generate_instance(300 + seed, 6, 5, TRANSLATE, Fraction(1, 3))
+        for mode in MODES:
+            build_graph(inst.points, inst.shape, mode)
+    assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points, PINNED_BOUNDARY.shape)
+    certified = nonempty = 0
+    for _, dim, cs in cells:
+        rows = [c.row for c in cs]
+        exact = region.feasible(dim, cs)
+        point = region.feasible(dim, cs, optimum=False)
+        assert (point is None) == (exact is None), cs
+        nonempty += exact is not None
+        proposal = backend._float_proposal(dim, rows, True)[1]
+        if proposal and backend._certifies(rows, *proposal):
+            certified += 1
+            assert exact is not None and region.contains_point(cs, point), cs
+    assert certified > 0.9 * nonempty
+    assert {(name, dim) for name, dim, _ in cells} == {
+        ("delgraphs.builder", 2), ("delgraphs.builder", 3), ("delgraphs.planarity", 3)}
 
 
 def _dense_pivot(lp, r, e):
@@ -228,6 +387,7 @@ def _assert_matches_oracle(dim, rows):
     ok, x, s = backend.solve_slack_lp(dim, rows)
     _, best = oracle_feasible(rows, dim)
     assert ok == (best is not None) and s == best
+    assert backend.solve_slack_lp(dim, rows, optimum=False)[0] == ok
 
 
 H = 10 ** 200  # products of two such entries overflow a float to inf
@@ -239,8 +399,9 @@ BIG = 10 ** 400  # float() of this raises OverflowError
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
 def test_float_overflow_falls_back(dim, rows):
-    assert backend._farkas_support(dim, rows) is None
+    assert backend._float_proposal(dim, rows, True) == (None, None)
     _assert_matches_oracle(dim, rows)
+    assert backend.solve_slack_lp(dim, rows, optimum=False) == backend.solve_slack_lp(dim, rows)
 
 
 @pytest.mark.parametrize("dim, rows", [
@@ -265,7 +426,7 @@ def test_nearly_parallel_rows_fall_back():
     # opposed parallel rows and propose both; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._farkas_support(2, rows) == [0, 1]
+    assert backend._float_proposal(2, rows, False) == ([0, 1], None)
     assert backend.farkas_weights(rows) is None
     _assert_matches_oracle(2, rows)
     # Here the float ratio test finds no pivot row (an unbounded claim).
@@ -273,16 +434,21 @@ def test_nearly_parallel_rows_fall_back():
             ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
             ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),
             ((-99999999, 300000000, 1), -3, 0), ((-100000002, -300000002, 1), 4, 0)]
-    assert backend._farkas_support(3, rows) is None
+    assert backend._float_proposal(3, rows, True) == (None, None)
     _assert_matches_oracle(3, rows)
 
 
 def test_float_pivot_cap_falls_back(monkeypatch):
     monkeypatch.setattr(backend, "_FLOAT_PIVOTS", 0)
     rng = random.Random(4881)
-    capped = 0
+    capped = feasible = 0
     for _ in range(150):
         rows = _random_rows(rng, 2, 4)
-        capped += backend._farkas_support(2, rows) is None and any(b < 0 for _, b, _ in rows)
+        capped += backend._float_proposal(2, rows, False)[0] is None and any(b < 0 for _, b, _ in rows)
         _assert_matches_oracle(2, rows)
-    assert capped > 0
+        # Phase II needs a pivot before it reaches any vertex: no proposal
+        assert backend._float_proposal(2, rows, True)[1] is None
+        exact = backend.solve_slack_lp(2, rows)
+        feasible += exact[0]
+        assert backend.solve_slack_lp(2, rows, optimum=False) == exact
+    assert capped > 0 and feasible > 50

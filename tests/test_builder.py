@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from delgraphs.builder import (Edge, GeometricGraph, PointSet,
 from delgraphs.geometry import point
 from delgraphs.instances import generate_instance, sampled_edges
 from delgraphs.shape import HOMOTHET, TRANSLATE, Placement, contains, shape_from_rows
+from oracle_closed_form import closed_form_applies, closed_form_edges
 
 F = Fraction
 
@@ -151,3 +153,53 @@ def test_is_subgraph_mismatched_points_rejected():
     g2 = build_graph(other, CLOSED_UNIT_SQUARE, HOMOTHET)
     with pytest.raises(ValueError):
         is_subgraph(g1, g2)
+
+
+def _closed_form_cases():
+    """Seeded (kind, points, rows) for one half-plane, wedges and
+    triangles, strict and closed rows mixed; points on a coarse rational
+    grid, so ties in a.p and points on a shape's boundary lines occur."""
+    rng = random.Random(4881)
+
+    def coord():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+    def normal():
+        a = (0, 0)
+        while a == (0, 0):
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+        return a
+
+    cases = []
+    for kind, count, k in (("half-plane", 30, 1), ("wedge", 30, 2), ("triangle", 40, 3)):
+        while sum(c[0] == kind for c in cases) < count:
+            rows = [(*normal(), F(rng.randint(-4, 4), rng.choice((1, 2))),
+                     rng.random() < 0.4) for _ in range(k)]
+            halfplanes = [((ax, ay), b, strict) for ax, ay, b, strict in rows]
+            if not closed_form_applies(halfplanes, True):
+                continue
+            n, pts = rng.randint(4, 8), set()
+            while len(pts) < n:
+                pts.add((coord(), coord()))
+            cases.append((kind, sorted(pts), rows))
+    return cases
+
+
+def test_build_graph_matches_the_closed_form_oracle():
+    """One half-plane and wedges in both modes, triangles in homothet mode:
+    the shapes whose placements reach an upward-closed set of offsets,
+    where ``oracle_closed_form`` decides every pair without an LP."""
+    builds = edges = 0
+    for kind, pts, rows in _closed_form_cases():
+        points = PointSet(tuple(point(x, y) for x, y in pts))
+        shape = shape_from_rows(rows)
+        halfplanes = [((ax, ay), b, strict) for ax, ay, b, strict in rows]
+        for mode in (HOMOTHET,) if kind == "triangle" else (TRANSLATE, HOMOTHET):
+            want = closed_form_edges(pts, halfplanes, mode == HOMOTHET)
+            assert build_graph(points, shape, mode).edge_pairs() == want, (kind, pts, rows, mode)
+            builds += 1
+            edges += len(want)
+    assert builds == 2 * 30 + 2 * 30 + 40 and edges > builds
+    assert not closed_form_applies([((1, 0), 1, False), ((-1, 0), 1, False)], True)  # strip
+    assert not closed_form_applies([((1, 0), 1, False), ((0, 1), 1, False),
+                                    ((-1, -1), 1, False)], False)  # translate triangle
