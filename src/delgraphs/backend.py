@@ -38,15 +38,17 @@ with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
 would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
 sigma >= 0.
 
-Certified nonempty: when only "nonempty" is asked (``optimum=False``)
-and float Phase I ends at zero, the same dictionary runs Phase II on
-floats.  Its final basis leaves the tight rows as a square integer
-system in the basic x_j and s, solved exactly by Cramer's rule.  If that
-point meets every row exactly, with 0 <= s <= 1 and s > 0 unless no row
-is strict, x lies in the cell: a.x <= b - sigma*s < b on a strict row.
-Otherwise the exact simplex decides alone, so the floats change only the
-speed and, with ``optimum=False``, which point of a nonempty cell is
-returned; never a verdict.
+Certified nonempty: when only "nonempty" is asked (``optimum=False``: the
+base cell of each search and every DFS probe that misses its hint; only
+the emitted witness asks for the optimizer) and float Phase I ends at
+zero, the same dictionary runs Phase II on floats.  Its final basis
+leaves the tight rows as a square integer system in the basic x_j and s,
+solved exactly by Cramer's rule.  If that point meets every row exactly,
+with 0 <= s <= 1 and s > 0 unless no row is strict, x lies in the cell:
+a.x <= b - sigma*s < b on a strict row.  Otherwise the exact simplex
+decides alone, so the floats change only the speed and, with
+``optimum=False``, which point of a nonempty cell is returned; never a
+verdict.
 """
 
 from __future__ import annotations

@@ -81,7 +81,8 @@ def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
 def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
     """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
     order, piece_l one of the constraint tuples of ``levels[l]``, or None;
-    each level reuses the point that proved its parent nonempty as hint."""
+    each level reuses the point that proved its parent nonempty as hint.
+    Those points are certified, not optimizers: emit only a fresh solve."""
     if not levels:
         return cell
     for piece in levels[0]:

@@ -89,8 +89,9 @@ def feasible(dim: int, constraints, optimum=True) -> tuple[Fraction, ...] | None
 def feasible_with_hint(dim: int, constraints, hint) -> tuple[Fraction, ...] | None:
     """Like feasible(), but first tests the candidate point ``hint``; a hint
     inside the cell certifies nonemptiness without a solve and is returned
-    as the point.  Pruning decisions are identical either way; hints never
-    replace a witness that callers emit."""
+    as the point.  Otherwise the point is any certified one, as with
+    ``optimum`` False, not the optimizer.  Verdicts are identical either
+    way; the point may seed a hint but is never emitted."""
     if contains_point(constraints, hint):
         return hint
-    return feasible(dim, constraints)
+    return feasible(dim, constraints, optimum=False)

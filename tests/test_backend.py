@@ -1,8 +1,8 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
 certified early exit for infeasible LPs and the certified points of
-nonempty base cells (a float proposal may change the speed, never a
-verdict)."""
+nonempty base cells and DFS probes (a float proposal may change the
+speed, never a verdict)."""
 
 import copy
 import functools
@@ -241,13 +241,22 @@ FUZZ_TRIAL_46 = generate_instance(9978910741668045578, 9, 5, TRANSLATE, Fraction
 
 def test_float_ratio_ties_reach_the_exact_basis(monkeypatch):
     base = []
+    asked = []  # every optimum=False LP: the base LPs and the DFS probes
     solve = backend.solve_slack_lp
+    decide = builder.feasible
+
+    def capturing_base(dim, cs, optimum=True):
+        if not optimum:
+            base.append((dim, [c.row for c in cs]))
+        return decide(dim, cs, optimum=optimum)
 
     def capturing(dim, rows, optimum=True):
+        answer = solve(dim, rows, optimum=optimum)
         if not optimum:
-            base.append((dim, list(rows)))
-        return solve(dim, rows, optimum=optimum)
+            asked.append((dim, list(rows), answer))
+        return answer
 
+    monkeypatch.setattr(builder, "feasible", capturing_base)
     monkeypatch.setattr(backend, "solve_slack_lp", capturing)
     for mode in MODES:
         build_graph(FUZZ_TRIAL_46.points, FUZZ_TRIAL_46.shape, mode)
@@ -259,38 +268,89 @@ def test_float_ratio_ties_reach_the_exact_basis(monkeypatch):
             approx = _solved(dim, rows, float, backend._FLOAT_EPS)
             assert sorted(approx.basic) == sorted(exact.basic), rows
     assert feasible > 20
+    # A probe's float basis may end elsewhere (3 of them here), but only
+    # where its point is not certified and the exact simplex decides.
+    for dim, rows, answer in asked:
+        assert answer == solve(dim, rows), rows
+    assert len(asked) > len(base) + 100
 
 
 def test_certified_base_cells_agree_with_the_exact_solve(monkeypatch):
-    """Base cells of seeded builds in both modes and of the boundary scan:
-    the certified verdict is the exact one, and each certified point lies
-    in its cell."""
-    cells = []
+    """Base cells and DFS probes of seeded builds in both modes and of the
+    boundary scan: the certified verdict is the exact one, and each
+    certified point lies in its cell."""
+    cells = []  # (kind, dim, cell, the point returned or None, hint or None)
     for module in (builder, planarity):
         def capturing(dim, cs, optimum=True, feasible=module.feasible, name=module.__name__):
             if not optimum:
-                cells.append((name, dim, cs))
-            return feasible(dim, cs, optimum=optimum)
+                cells.append((name, dim, cs, feasible(dim, cs, optimum=False), None))
+                return cells[-1][3]
+            return feasible(dim, cs)
         monkeypatch.setattr(module, "feasible", capturing)
+    probe = builder.feasible_with_hint  # first_leaf's, in both searches
+
+    def probing(dim, cs, hint):
+        cells.append(("probe", dim, cs, probe(dim, cs, hint), hint))
+        return cells[-1][3]
+
+    monkeypatch.setattr(builder, "feasible_with_hint", probing)
     for seed in range(12):
         inst = generate_instance(300 + seed, 6, 5, TRANSLATE, Fraction(1, 3))
         for mode in MODES:
             build_graph(inst.points, inst.shape, mode)
+    built = len(cells)
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points, PINNED_BOUNDARY.shape)
     certified = nonempty = 0
-    for _, dim, cs in cells:
-        rows = [c.row for c in cs]
+    solved = set()
+    for k, (kind, dim, cs, point, hint) in enumerate(cells):
         exact = region.feasible(dim, cs)
-        point = region.feasible(dim, cs, optimum=False)
         assert (point is None) == (exact is None), cs
+        assert point is None or region.contains_point(cs, point), cs
+        if hint is not None and region.contains_point(cs, hint):
+            continue  # a probe its hint decided, with no LP
+        if kind == "probe":
+            kind = "probe in the scan" if k >= built else "probe in the builds"
+        solved.add((kind, dim))
+        rows = [c.row for c in cs]
         nonempty += exact is not None
         proposal = backend._float_proposal(dim, rows, True)[1]
         if proposal and backend._certifies(rows, *proposal):
             certified += 1
-            assert exact is not None and region.contains_point(cs, point), cs
+            assert exact is not None, cs
     assert certified > 0.9 * nonempty
-    assert {(name, dim) for name, dim, _ in cells} == {
-        ("delgraphs.builder", 2), ("delgraphs.builder", 3), ("delgraphs.planarity", 3)}
+    assert solved == {
+        ("delgraphs.builder", 2), ("delgraphs.builder", 3), ("delgraphs.planarity", 3),
+        ("probe in the builds", 2), ("probe in the builds", 3), ("probe in the scan", 3)}
+
+
+def test_probes_take_the_certified_path(monkeypatch):
+    """Nearly every nonempty DFS probe that misses its hint is decided by
+    a certified float point, not by the exact simplex."""
+    certifies = backend._certifies
+    probe = builder.feasible_with_hint
+    checks = []
+    counts = {"certified": 0, "nonempty": 0}
+
+    def counting(rows, nums, den):
+        ok = certifies(rows, nums, den)
+        checks.append(ok)
+        return ok
+
+    def probing(dim, cs, hint):
+        checks.clear()
+        point = probe(dim, cs, hint)
+        if point is not None and not region.contains_point(cs, hint):
+            counts["nonempty"] += 1
+            counts["certified"] += any(checks)
+        return point
+
+    monkeypatch.setattr(backend, "_certifies", counting)
+    monkeypatch.setattr(builder, "feasible_with_hint", probing)
+    for inst in PINNED_BUILDS:
+        for mode in MODES:
+            build_graph(inst.points, inst.shape, mode)
+    assert counts["nonempty"] > 50
+    assert counts["certified"] > 0.9 * counts["nonempty"]
 
 
 def _dense_pivot(lp, r, e):

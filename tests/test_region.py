@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delgraphs import backend
 from delgraphs.region import (LinearConstraint, complement, constraint,
                               contains_point, feasible, feasible_with_hint,
                               negate)
@@ -156,4 +157,23 @@ def test_feasible_with_hint_agrees_with_feasible():
             cons.append(LinearConstraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
         cell = tuple(cons)
         hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
-        assert (feasible_with_hint(2, cell, hint) is None) == (feasible(2, cell) is None)
+        point = feasible_with_hint(2, cell, hint)
+        assert (point is None) == (feasible(2, cell) is None)
+        assert point is None or contains_point(cell, point)
+
+
+@pytest.mark.parametrize("dim, cell", [
+    (1, (constraint((1,), 0), constraint((-1,), 0, True))),  # x <= 0, x > 0
+    (2, (constraint((1, 1), 2), constraint((-1, -1), -2, True),  # a line's open side
+         constraint((1, -1), 5))),
+])
+def test_lp_feasible_empty_cell_falls_back(dim, cell):
+    # The slack LP is feasible but its optimum is s = 0 on a strict row, so
+    # no float point is certified and the exact simplex says empty.
+    rows = [c.row for c in cell]
+    proposal = backend._float_proposal(dim, rows, True)
+    assert proposal[0] is None and not backend._certifies(rows, *proposal[1])
+    assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
+    hint = (F(1),) * dim
+    assert not contains_point(cell, hint)
+    assert feasible_with_hint(dim, cell, hint) is None
