@@ -15,40 +15,54 @@ ties broken by lowest variable index, so it cannot cycle and is fully
 deterministic.
 
 Dictionary convention: row i of ``tab``/``rhs`` reads
-``basic_i = rhs_i - tab_i . nonbasic``.  The objective is the last row,
-stored the same way, so ``z = rhs[-1] - tab[-1] . nonbasic`` keeps its
-coefficients negated: a slot may enter while ``tab[-1]`` is negative there,
-and every pivot updates the objective with the other rows.  A pivot
-updates only the slots where the pivot row is nonzero, which is exact: a
-skipped entry o would become o - f*0, that is o for a Fraction or a finite
-float f, and a non-finite float can change only a float proposal, never an
-answer.  One Bland loop
-serves both phases.  Phase I appends an auxiliary column of -1s and
-maximizes -aux.  If aux is still basic at its end, its row has a nonzero
-entry on some nonbasic slot: each row is ``y . [A | I | -1]`` for some
-multipliers y, every slack column is still present, so a row reading
-``aux = rhs`` alone would force y = 0.
+``basic_i = (rhs_i - tab_i . nonbasic) / den``.  The objective is the
+last row, stored the same way, so its coefficients are kept negated: a
+slot may enter while ``tab[-1]`` is negative there, and every pivot
+updates the objective with the other rows.  One Bland loop serves both
+phases.  Phase I appends an auxiliary column of -1s and maximizes -aux.
+If aux is still basic at its end, its row has a nonzero entry on some
+nonbasic slot: each row is ``y . [A | I | -1]`` for some multipliers y,
+every slack column is still present, so a row reading ``aux = rhs``
+alone would force y = 0.
 
-Certified early exit: before the exact simplex, the same dictionary runs
-Phase I on floats (sign tests and ratio ties to 1e-9, a pivot cap per
-phase).  If that ends below zero, the objective row holds at each row's slack slot its Farkas
-multiplier, and the rows with a positive one (never the cap row) are the
-proposed support S.  ``farkas_weights`` decides S exactly: integer y >= 0
-with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
-would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
-sigma >= 0.
+The exact dictionary is fraction-free (Edmonds 1967, Bareiss 1968): its
+entries are integer numerators over one shared ``den`` > 0, 1 at the
+start.  A pivot on p = tab[r][e] takes each other row's slot j to
+``(tab_ij*p - f*tab_rj) // den`` (f = tab_ie) and its slot e to -f, the
+pivot row's slot e to ``den``, and then ``den`` to p, negating every
+numerator when p < 0.  Each division is exact: ``den`` is, up to sign,
+the determinant of the basis matrix B over the integer data, and each
+numerator is det(B) times an entry of B^-1 times the data, a minor by
+Cramer's rule.  Rows and columns appended later (the aux column, the
+Phase I and Phase II objectives) go in times ``den``.  As ``den`` > 0,
+every sign test reads the same on numerators as on values, and a ratio
+rhs_i / tab_ie does not depend on ``den``; ratios are compared exactly,
+as ``Fraction``s.  So every pivot and every answer is that of the same
+simplex over ``Fraction`` values.  The float dictionary, which only
+proposes, keeps ``den`` = 1, divides the pivot row by p and updates only
+the slots where that row is nonzero: a skipped entry o would become
+o - f*0, that is o for a finite float f, and a non-finite float can
+change only a proposal, never an answer.
 
-Certified nonempty: when only "nonempty" is asked (``optimum=False``: the
-base cell of each search and every DFS probe that misses its hint; only
-the emitted witness asks for the optimizer) and float Phase I ends at
-zero, the same dictionary runs Phase II on floats.  Its final basis
-leaves the tight rows as a square integer system in the basic x_j and s,
-solved exactly by Cramer's rule.  If that point meets every row exactly,
-with 0 <= s <= 1 and s > 0 unless no row is strict, x lies in the cell:
+Certified early exit: when only "nonempty" is asked (``optimum=False``:
+the base cell of each search and every DFS probe that misses its hint;
+only the emitted witness asks for the optimizer), the same dictionary
+first runs Phase I on floats (sign tests and ratio ties to 1e-9, a pivot
+cap per phase).  If that ends below zero, the objective row holds at
+each row's slack slot its Farkas multiplier, and the rows with a
+positive one (never the cap row) are the proposed support S.
+``farkas_weights`` decides S exactly: integer y >= 0 with y.A_S = 0 and
+y.b_S < 0 proves the LP infeasible, for any (x, s >= 0) would give
+0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as sigma >= 0.
+
+Certified nonempty: when float Phase I ends at zero, the same
+dictionary runs Phase II on floats.  Its final basis leaves the tight
+rows as a square integer system in the basic x_j and s, solved exactly
+by Cramer's rule.  If that point meets every row exactly, with
+0 <= s <= 1 and s > 0 unless no row is strict, x lies in the cell:
 a.x <= b - sigma*s < b on a strict row.  Otherwise the exact simplex
-decides alone, so the floats change only the speed and, with
-``optimum=False``, which point of a nonempty cell is returned; never a
-verdict.
+decides alone, so the floats change only the speed and which point of a
+nonempty cell is returned; never a verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +72,6 @@ from itertools import combinations
 
 from .rng import SplitMix64
 
-_ZERO = Fraction(0)
 _FLOAT_EPS = 1e-9
 _FLOAT_PIVOTS = 200  # float cap per phase; the benchmark's LPs need at most 14
 
@@ -72,13 +85,15 @@ class LPError(RuntimeError):
 
 
 class _Dictionary:
-    """The slack LP as a simplex dictionary over one number type: ``num``
-    converts the integer data (``Fraction`` decides, ``float`` proposes) and
-    ``eps`` is the tolerance of every sign test (0 when exact)."""
+    """The slack LP as a simplex dictionary: ``num`` converts the integer
+    data and ``eps`` is the tolerance of every sign test.  With ``eps`` 0
+    it is exact and fraction-free (integer numerators over ``den`` > 0,
+    which decide); with ``eps`` > 0 it holds normalized floats (``den`` 1),
+    which only propose."""
 
     def __init__(self, dim, rows, num, eps):
         nvar = 2 * dim + 1  # x_j split into u_j - v_j, plus the slack s
-        self.num, self.eps = num, eps
+        self.eps, self.den = eps, num(1)
         self.tab, self.rhs = [], []  # row i: coefficients over nonbasic slots
         for a, b, sigma in rows:
             row = [num(c) for c in a]
@@ -94,26 +109,43 @@ class _Dictionary:
         return min(slots, key=self.nonbasic.__getitem__, default=-1)
 
     def pivot(self, r, e):
-        tab, rhs = self.tab, self.rhs
+        tab, rhs, den = self.tab, self.rhs, self.den
         row = tab[r]
-        inv = 1 / row[e]
-        nz = [j for j, v in enumerate(row) if v and j != e]  # the rest stay put
-        for j in nz:
-            row[j] *= inv
-        row[e] = inv
-        rhs[r] = rhs[r] * inv
-        for i, other in enumerate(tab):
-            if i == r or not (f := other[e]):
-                continue
+        p = row[e]
+        if self.eps:  # floats: divide the pivot row by p
+            inv = 1 / p
+            nz = [j for j, v in enumerate(row) if v and j != e]  # the rest stay put
             for j in nz:
-                other[j] -= f * row[j]
-            other[e] = -f * inv
-            rhs[i] = rhs[i] - f * rhs[r]
+                row[j] *= inv
+            row[e] = inv
+            rhs[r] = rhs[r] * inv
+            for i, other in enumerate(tab):
+                if i == r or not (f := other[e]):
+                    continue
+                for j in nz:
+                    other[j] -= f * row[j]
+                other[e] = -f * inv
+                rhs[i] = rhs[i] - f * rhs[r]
+        else:  # numerators over den: p becomes den, and every division is exact
+            for i, other in enumerate(tab):
+                if i == r:
+                    continue
+                if f := other[e]:
+                    other[:] = [(o * p - f * v) // den for o, v in zip(other, row)]
+                    other[e] = -f
+                elif p != den:
+                    other[:] = [o * p // den for o in other]
+                rhs[i] = (rhs[i] * p - f * rhs[r]) // den
+            row[e], self.den = den, abs(p)
+            if p < 0:  # keep den > 0
+                for other in tab:
+                    other[:] = [-v for v in other]
+                rhs[:] = [-v for v in rhs]
         self.nonbasic[e], self.basic[r] = self.basic[r], self.nonbasic[e]
 
     def bland(self, limit=None):
         """Maximize the objective tab[-1] (stored negated) and return its
-        optimum; raise LPError after ``limit`` pivots."""
+        optimum (its numerator); raise LPError after ``limit`` pivots."""
         tab, rhs, basic, eps = self.tab, self.rhs, self.basic, self.eps
         obj = tab[-1]
         steps = 0
@@ -121,31 +153,31 @@ class _Dictionary:
             if steps == limit:
                 raise LPError("pivot cap reached")
             steps += 1
-            # ratio test, ties to the lowest basic id
-            ratio = {i: rhs[i] / tab[i][e] for i in range(len(tab) - 1) if tab[i][e] > eps}
-            if not ratio:
+            cands = [i for i in range(len(tab) - 1) if tab[i][e] > eps]
+            if not cands:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
             if eps:  # floats: ratios within eps*(1 + |least|) of the least tie
+                ratio = {i: rhs[i] / tab[i][e] for i in cands}
                 low = (q := min(ratio.values())) + eps * (1 + abs(q))
                 r = min((i for i, q in ratio.items() if q <= low), key=basic.__getitem__)
-            else:
-                r = min(ratio, key=lambda i: (ratio[i], basic[i]))
+            else:  # the least rhs_i / tab_ie, exactly; ties to the lowest basic id
+                r = min(cands, key=lambda i: (Fraction(rhs[i], tab[i][e]), basic[i]))
             self.pivot(r, e)
         return rhs[-1]
 
     def phase_one(self, limit=None):
         """Phase I: return the optimum of -aux, 0 when no rhs is negative.
         Unless it is negative, aux then leaves the dictionary."""
-        tab, rhs, nonbasic, num = self.tab, self.rhs, self.nonbasic, self.num
+        tab, rhs, nonbasic, den = self.tab, self.rhs, self.nonbasic, self.den
         worst = min(range(len(tab)), key=rhs.__getitem__)
         if rhs[worst] >= 0:
             return 0
         nvar, aux_id = len(nonbasic), len(nonbasic) + len(tab)
         for row in tab:
-            row.append(num(-1))
+            row.append(-den)
         nonbasic.append(aux_id)
-        tab.append([num(0)] * nvar + [num(1)])
-        rhs.append(num(0))
+        tab.append([den * 0] * nvar + [den])
+        rhs.append(den * 0)
         self.pivot(worst, nvar)  # aux enters on the first row of least rhs
         z = self.bland(limit)
         if z < -self.eps:
@@ -165,30 +197,29 @@ class _Dictionary:
 
     def phase_two(self, s_id, limit=None):
         """Phase II: maximize the slack s (variable ``s_id``) from the
-        feasible dictionary Phase I left, and return its optimum."""
+        feasible dictionary Phase I left, and return its optimum (its
+        numerator)."""
         if s_id in self.basic:
             r = self.basic.index(s_id)
             self.tab.append(list(self.tab[r]))
             self.rhs.append(self.rhs[r])
         else:
-            self.tab.append([self.num(-(v == s_id)) for v in self.nonbasic])
-            self.rhs.append(self.num(0))
+            self.tab.append([-(v == s_id) * self.den for v in self.nonbasic])
+            self.rhs.append(self.den * 0)
         return self.bland(limit)
 
 
-def _float_proposal(dim, rows, vertex):
+def _float_proposal(dim, rows):
     """One float run's proposal: ``(S, None)`` when Phase I ends below zero,
-    S the rows of a Farkas support; ``(None, point)`` when ``vertex`` and it
-    ends at zero, ``point`` the ``_basis_point`` of Phase II's final basis;
-    ``(None, None)`` otherwise, or when the floats fail (overflow, cap)."""
+    S the rows of a Farkas support; ``(None, point)`` when it ends at zero,
+    ``point`` the ``_basis_point`` of Phase II's final basis; ``(None, None)``
+    when the floats fail (overflow, cap)."""
     try:
         lp = _Dictionary(dim, rows, float, _FLOAT_EPS)
         if lp.phase_one(_FLOAT_PIVOTS) < -_FLOAT_EPS:
             first = 2 * dim + 1  # variable id of row 0's slack
             return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
                           if first <= v < first + len(rows) and y > _FLOAT_EPS), None
-        if not vertex:
-            return None, None
         lp.phase_two(2 * dim, _FLOAT_PIVOTS)
     except (OverflowError, LPError):
         return None, None
@@ -262,19 +293,20 @@ def solve_slack_lp(dim, rows, optimum=True):
     optimizer, any certified point (x, s): it meets every row, with
     0 <= s <= 1 and s > 0 unless no row is strict.
     """
-    support, point = _float_proposal(dim, rows, not optimum)
-    if support and farkas_weights([rows[i] for i in support]) is not None:
-        return False, None, None
-    if point and _certifies(rows, *point):
-        nums, den = point
-        return True, tuple(Fraction(v, den) for v in nums[:-1]), Fraction(nums[-1], den)
-    lp = _Dictionary(dim, rows, Fraction, 0)
+    if not optimum:
+        support, point = _float_proposal(dim, rows)
+        if support and farkas_weights([rows[i] for i in support]) is not None:
+            return False, None, None
+        if point and _certifies(rows, *point):
+            nums, den = point
+            return True, tuple(Fraction(v, den) for v in nums[:-1]), Fraction(nums[-1], den)
+    lp = _Dictionary(dim, rows, int, 0)
     if lp.phase_one() < 0:
         return False, None, None
     s = lp.phase_two(2 * dim)
     val = dict(zip(lp.basic, lp.rhs))
-    x = tuple(val.get(j, _ZERO) - val.get(dim + j, _ZERO) for j in range(dim))
-    return True, x, s
+    x = tuple(Fraction(val.get(j, 0) - val.get(dim + j, 0), lp.den) for j in range(dim))
+    return True, x, Fraction(s, lp.den)
 
 
 # ---------------------------------------------------------------------------

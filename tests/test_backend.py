@@ -2,9 +2,9 @@
 brute-force oracle, its answers pinned over a fixed set of runs, the
 certified early exit for infeasible LPs and the certified points of
 nonempty base cells and DFS probes (a float proposal may change the
-speed, never a verdict)."""
+speed, never a verdict), and the fraction-free pivots against a dense
+``Fraction`` reference."""
 
-import copy
 import functools
 import hashlib
 import math
@@ -133,8 +133,8 @@ WRONG_PROPOSERS = {
 def test_float_proposal_changes_no_answer(monkeypatch, name):
     propose = backend._float_proposal
 
-    def wrong(dim, rows, vertex):  # a wrong support beside the true vertex
-        return WRONG_PROPOSERS[name](dim, rows), propose(dim, rows, vertex)[1]
+    def wrong(dim, rows):  # a wrong support beside the true vertex
+        return WRONG_PROPOSERS[name](dim, rows), propose(dim, rows)[1]
 
     monkeypatch.setattr(backend, "_float_proposal", wrong)
     pins, _ = _run_pinned(monkeypatch)
@@ -183,8 +183,8 @@ def _proposing(monkeypatch, vertex_proposer):
     propose = backend._float_proposal
     seen = []
 
-    def replaced(dim, rows, vertex):
-        support, point = propose(dim, rows, vertex)
+    def replaced(dim, rows):
+        support, point = propose(dim, rows)
         if point is None:
             return support, None
         seen.append((point, vertex_proposer(dim, rows)))
@@ -313,7 +313,7 @@ def test_certified_base_cells_agree_with_the_exact_solve(monkeypatch):
         solved.add((kind, dim))
         rows = [c.row for c in cs]
         nonempty += exact is not None
-        proposal = backend._float_proposal(dim, rows, True)[1]
+        proposal = backend._float_proposal(dim, rows)[1]
         if proposal and backend._certifies(rows, *proposal):
             certified += 1
             assert exact is not None, cs
@@ -355,7 +355,7 @@ def test_probes_take_the_certified_path(monkeypatch):
 
 def _dense_pivot(lp, r, e):
     """The reference pivot: it updates every entry of every other row, the
-    zero entries of the pivot row included."""
+    zero entries of the pivot row included, and divides by the pivot."""
     tab, rhs = lp.tab, lp.rhs
     row = tab[r]
     inv = 1 / row[e]
@@ -371,16 +371,34 @@ def _dense_pivot(lp, r, e):
     lp.nonbasic[e], lp.basic[r] = lp.basic[r], lp.nonbasic[e]
 
 
-@pytest.mark.parametrize("num, eps", [(Fraction, 0), (float, backend._FLOAT_EPS)])
+class _Dense(backend._Dictionary):
+    """The reference dictionary: exact ``Fraction`` values (``den`` stays
+    1) updated by the dense pivot, under the same Bland loop."""
+
+    pivot = _dense_pivot
+
+
+def _values(lp):
+    """Every entry as a value, numerator / ``den``, with the bases."""
+    return ([[Fraction(v) / lp.den for v in row] for row in lp.tab],
+            [Fraction(v) / lp.den for v in lp.rhs], lp.basic, lp.nonbasic)
+
+
+@pytest.mark.parametrize("num, eps", [(int, 0), (float, backend._FLOAT_EPS)])
 def test_sparse_pivot_matches_the_dense_one(num, eps):
+    """Floats slot for slot; integer numerators over ``den`` as values,
+    against the dense ``Fraction`` reference."""
     rng = random.Random(4881)
-    pivots = zeros = 0
+    pivots = zeros = negative = 0
     for _ in range(120):
         dim = rng.choice((2, 3))
-        lp = backend._Dictionary(dim, _random_rows(rng, dim, 4), num, eps)
-        lp.tab.append([num(rng.randint(-3, 3)) for _ in lp.nonbasic])  # objective
-        lp.rhs.append(num(0))
-        dense = copy.deepcopy(lp)
+        rows = _random_rows(rng, dim, 4)
+        obj = [rng.randint(-3, 3) for _ in range(2 * dim + 1)]
+        lp = backend._Dictionary(dim, rows, num, eps)
+        dense = backend._Dictionary(dim, rows, num, eps) if eps else _Dense(dim, rows, Fraction, 0)
+        for d in (lp, dense):
+            d.tab.append([d.den * c for c in obj])  # an objective row
+            d.rhs.append(d.den * 0)
         for _ in range(6):
             r = rng.randrange(len(lp.tab) - 1)
             slots = [j for j, v in enumerate(lp.tab[r]) if v != 0]
@@ -388,13 +406,85 @@ def test_sparse_pivot_matches_the_dense_one(num, eps):
                 continue
             zeros += len(lp.tab[r]) - len(slots)
             e = rng.choice(slots)
+            negative += lp.tab[r][e] < 0
             lp.pivot(r, e)
             _dense_pivot(dense, r, e)
             pivots += 1
             if not all(math.isfinite(v) for row in lp.tab for v in row + lp.rhs):
                 break  # float equality is exact only while every value is finite
-            assert vars(lp) == vars(dense)  # tab, rhs, basic and nonbasic
+            assert lp.den > 0 and _values(lp) == _values(dense)
     assert pivots > 500 and zeros > pivots  # the skipped entries are exercised
+    assert negative > 100  # and pivots on p < 0, which negate every numerator
+
+
+def test_phases_match_the_dense_reference_after_pivots():
+    """Phase I and Phase II from a dictionary already pivoted, so the aux
+    column, the aux objective row and the s row go in while ``den`` != 1:
+    the same pivots, values and optima as the dense ``Fraction`` one."""
+    rng = random.Random(16)
+    appended = {"aux": 0, "s": 0}
+    for _ in range(200):
+        dim = rng.choice((2, 3))
+        rows = _random_rows(rng, dim, 4)
+        lp, dense = backend._Dictionary(dim, rows, int, 0), _Dense(dim, rows, Fraction, 0)
+        for _ in range(rng.randint(1, 3)):
+            r = rng.randrange(len(lp.tab))
+            if slots := [j for j, v in enumerate(lp.tab[r]) if v != 0]:
+                e = rng.choice(slots)
+                lp.pivot(r, e)
+                dense.pivot(r, e)
+        appended["aux"] += lp.den != 1 and min(lp.rhs) < 0
+        z = lp.phase_one()
+        assert Fraction(z, lp.den) == dense.phase_one() and _values(lp) == _values(dense)
+        if z < 0:
+            continue
+        appended["s"] += lp.den != 1
+        s = lp.phase_two(2 * dim)
+        assert Fraction(s, lp.den) == dense.phase_two(2 * dim), rows
+        assert lp.den > 0 and _values(lp) == _values(dense)
+    assert min(appended.values()) > 20
+
+
+def test_ratio_test_is_exact_beyond_float_precision():
+    """Phase II's first ratio test on s sees row 0 at (K + 1) / K and the
+    cap row s <= 1 at 1.  As floats both read 1.0, and the tie would go to
+    row 0 (the lower basic id): another pivot, and another optimizer."""
+    K = 2 ** 60
+    for rows in ([((1, 0), K + 1, K), ((0, 1), 1, 0)],
+                 [((K, -K), K + 1, K), ((-1, 0), 0, 0), ((0, 1), 0, 0)]):
+        assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 1)
+        _assert_matches_oracle(2, rows)
+    # a true tie with numerators above 2**53 goes to the lowest basic id
+    rows = [((1, 0), K + 1, K + 1), ((0, 1), K - 1, K - 1), ((-1, -1), 0, 0)]
+    assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 1)
+
+
+@pytest.mark.parametrize("digits", [20, 60, 400])
+def test_huge_data_is_decided_by_the_integer_dictionary(digits):
+    """Seeded LPs with data near 10**digits, nearly parallel rows mixed
+    in: the verdict, the optimal s and the cell membership of x against
+    the brute-force oracle, with the floats out of the decision."""
+    rng = random.Random(digits)
+    big = 10 ** digits
+    verdicts = []
+    for _ in range(40):
+        dim = rng.choice((2, 2, 3))
+        rows = [(tuple(c * big + rng.randint(-9, 9) for c in a), b * big + rng.randint(-9, 9), sigma)
+                for a, b, sigma in _random_rows(rng, dim, 3)]
+        if digits > 300:  # float() of the data overflows
+            assert backend._float_proposal(dim, rows) == (None, None)
+        ok, x, s = backend.solve_slack_lp(dim, rows)
+        nonempty, best = oracle_feasible(rows, dim)
+        assert ok == (best is not None) and s == best, rows
+        assert backend.solve_slack_lp(dim, rows, optimum=False)[0] == ok
+        strict = any(sigma for _, _, sigma in rows)
+        cell = ok and (s > 0 or not strict)
+        assert cell == nonempty, rows
+        for a, b, sigma in rows if ok else ():
+            v = sum(c * xi for c, xi in zip(a, x))
+            assert v + sigma * s <= b and (v < b or not cell or not sigma), rows
+        verdicts.append(cell)
+    assert 5 < sum(verdicts) < 35
 
 
 def _is_certificate(rows, y):
@@ -459,7 +549,7 @@ BIG = 10 ** 400  # float() of this raises OverflowError
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
 def test_float_overflow_falls_back(dim, rows):
-    assert backend._float_proposal(dim, rows, True) == (None, None)
+    assert backend._float_proposal(dim, rows) == (None, None)
     _assert_matches_oracle(dim, rows)
     assert backend.solve_slack_lp(dim, rows, optimum=False) == backend.solve_slack_lp(dim, rows)
 
@@ -486,7 +576,7 @@ def test_nearly_parallel_rows_fall_back():
     # opposed parallel rows and propose both; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._float_proposal(2, rows, False) == ([0, 1], None)
+    assert backend._float_proposal(2, rows) == ([0, 1], None)
     assert backend.farkas_weights(rows) is None
     _assert_matches_oracle(2, rows)
     # Here the float ratio test finds no pivot row (an unbounded claim).
@@ -494,7 +584,7 @@ def test_nearly_parallel_rows_fall_back():
             ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
             ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),
             ((-99999999, 300000000, 1), -3, 0), ((-100000002, -300000002, 1), 4, 0)]
-    assert backend._float_proposal(3, rows, True) == (None, None)
+    assert backend._float_proposal(3, rows) == (None, None)
     _assert_matches_oracle(3, rows)
 
 
@@ -504,10 +594,10 @@ def test_float_pivot_cap_falls_back(monkeypatch):
     capped = feasible = 0
     for _ in range(150):
         rows = _random_rows(rng, 2, 4)
-        capped += backend._float_proposal(2, rows, False)[0] is None and any(b < 0 for _, b, _ in rows)
+        capped += backend._float_proposal(2, rows)[0] is None and any(b < 0 for _, b, _ in rows)
         _assert_matches_oracle(2, rows)
         # Phase II needs a pivot before it reaches any vertex: no proposal
-        assert backend._float_proposal(2, rows, True)[1] is None
+        assert backend._float_proposal(2, rows)[1] is None
         exact = backend.solve_slack_lp(2, rows)
         feasible += exact[0]
         assert backend.solve_slack_lp(2, rows, optimum=False) == exact

@@ -203,3 +203,48 @@ def test_build_graph_matches_the_closed_form_oracle():
     assert not closed_form_applies([((1, 0), 1, False), ((-1, 0), 1, False)], True)  # strip
     assert not closed_form_applies([((1, 0), 1, False), ((0, 1), 1, False),
                                     ((-1, -1), 1, False)], False)  # translate triangle
+
+
+def _big_rational(rng):
+    return F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+
+
+def _affine_image(inst, rng):
+    """The instance under a seeded rational affine map y = Mx + v with
+    large denominators: the points mapped, each row a.x <= b of the
+    shape mapped to (a M^-1).y <= b, so a placement t + lam*C holds p
+    iff M t + v + lam*(M C) holds M p + v."""
+    while True:
+        m = [[_big_rational(rng) for _ in range(2)] for _ in range(2)]
+        if det := m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+            break
+    inv = [[m[1][1] / det, -m[0][1] / det], [-m[1][0] / det, m[0][0] / det]]
+    v = (_big_rational(rng), _big_rational(rng))
+    points = PointSet(tuple(point(m[0][0] * p.x + m[0][1] * p.y + v[0],
+                                  m[1][0] * p.x + m[1][1] * p.y + v[1]) for p in inst.points))
+    rows = [(h.a[0] * inv[0][0] + h.a[1] * inv[1][0], h.a[0] * inv[0][1] + h.a[1] * inv[1][1],
+             h.b, h.strict) for h in inst.shape.halfplanes]
+    return points, shape_from_rows(rows)
+
+
+def _cone(shape):
+    return shape_from_rows([(*h.a, 0, h.strict) for h in shape.halfplanes])
+
+
+def test_graphs_are_invariant_under_rational_affine_maps():
+    """Metamorphic relations, exact and oracle-free: the affine image of an
+    instance has the same graphs in both modes, and a cone (every b = 0)
+    has its translate graph equal to its homothet graph."""
+    rng = random.Random(1012)
+    cones = 0
+    for seed in range(16):
+        inst = generate_instance(7000 + seed, 6, 4, TRANSLATE, F(1, 3))
+        points, shape = _affine_image(inst, rng)
+        for mode in (TRANSLATE, HOMOTHET):
+            assert (build_graph(points, shape, mode).edge_pairs()
+                    == build_graph(inst.points, inst.shape, mode).edge_pairs()), (seed, mode)
+        for pts, cone in ((inst.points, _cone(inst.shape)), (points, _cone(shape))):
+            translate = build_graph(pts, cone, TRANSLATE).edge_pairs()
+            assert translate == build_graph(pts, cone, HOMOTHET).edge_pairs(), seed
+            cones += bool(translate)
+    assert cones > 12

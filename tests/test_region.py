@@ -171,7 +171,7 @@ def test_lp_feasible_empty_cell_falls_back(dim, cell):
     # The slack LP is feasible but its optimum is s = 0 on a strict row, so
     # no float point is certified and the exact simplex says empty.
     rows = [c.row for c in cell]
-    proposal = backend._float_proposal(dim, rows, True)
+    proposal = backend._float_proposal(dim, rows)
     assert proposal[0] is None and not backend._certifies(rows, *proposal[1])
     assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
     hint = (F(1),) * dim
