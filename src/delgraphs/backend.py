@@ -36,33 +36,25 @@ numerator is det(B) times an entry of B^-1 times the data, a minor by
 Cramer's rule.  Rows and columns appended later (the aux column, the
 Phase I and Phase II objectives) go in times ``den``.  As ``den`` > 0,
 every sign test reads the same on numerators as on values, and a ratio
-rhs_i / tab_ie does not depend on ``den``; ratios are compared exactly,
-as ``Fraction``s.  So every pivot and every answer is that of the same
-simplex over ``Fraction`` values.  The float dictionary, which only
-proposes, keeps ``den`` = 1, divides the pivot row by p and updates only
-the slots where that row is nonzero: a skipped entry o would become
-o - f*0, that is o for a finite float f, and a non-finite float can
-change only a proposal, never an answer.
+rhs_i / tab_ie does not depend on ``den``.  Ratios are compared by
+cross-multiplication, rhs_i / tab_ie < rhs_r / tab_re iff
+rhs_i*tab_re < rhs_r*tab_ie as both tab entries are positive, so every
+pivot and every answer is that of the same simplex over ``Fraction``
+values.  The float dictionary, which only proposes, keeps ``den`` = 1,
+divides the pivot row by p and updates only the slots where that row is
+nonzero: a skipped entry o would become o - f*0, that is o for a finite
+float f, and a non-finite float can change only a proposal, never an
+answer.
 
-Certified early exit: when only "nonempty" is asked (``optimum=False``:
-the base cell of each search and every DFS probe that misses its hint;
-only the emitted witness asks for the optimizer), the same dictionary
-first runs Phase I on floats (sign tests and ratio ties to 1e-9, a pivot
-cap per phase).  If that ends below zero, the objective row holds at
-each row's slack slot its Farkas multiplier, and the rows with a
-positive one (never the cap row) are the proposed support S.
+Certified early exit: every solve first runs Phase I on floats (sign
+tests to 1e-9, a pivot cap).  If that ends below zero, the objective row
+holds at each row's slack slot its Farkas multiplier, and the rows with
+a positive one (never the cap row) are the proposed support S.
 ``farkas_weights`` decides S exactly: integer y >= 0 with y.A_S = 0 and
 y.b_S < 0 proves the LP infeasible, for any (x, s >= 0) would give
 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as sigma >= 0.
-
-Certified nonempty: when float Phase I ends at zero, the same
-dictionary runs Phase II on floats.  Its final basis leaves the tight
-rows as a square integer system in the basic x_j and s, solved exactly
-by Cramer's rule.  If that point meets every row exactly, with
-0 <= s <= 1 and s > 0 unless no row is strict, x lies in the cell:
-a.x <= b - sigma*s < b on a strict row.  Otherwise the exact simplex
-decides alone, so the floats change only the speed and which point of a
-nonempty cell is returned; never a verdict.
+Otherwise the exact simplex decides alone and returns the optimizer, so
+the floats change only the speed, never an answer.
 """
 
 from __future__ import annotations
@@ -73,7 +65,7 @@ from itertools import combinations
 from .rng import SplitMix64
 
 _FLOAT_EPS = 1e-9
-_FLOAT_PIVOTS = 200  # float cap per phase; the benchmark's LPs need at most 14
+_FLOAT_PIVOTS = 200  # float Phase I cap; the benchmark's LPs need at most 14
 
 
 def backend_name() -> str:
@@ -156,12 +148,11 @@ class _Dictionary:
             cands = [i for i in range(len(tab) - 1) if tab[i][e] > eps]
             if not cands:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
-            if eps:  # floats: ratios within eps*(1 + |least|) of the least tie
-                ratio = {i: rhs[i] / tab[i][e] for i in cands}
-                low = (q := min(ratio.values())) + eps * (1 + abs(q))
-                r = min((i for i, q in ratio.items() if q <= low), key=basic.__getitem__)
-            else:  # the least rhs_i / tab_ie, exactly; ties to the lowest basic id
-                r = min(cands, key=lambda i: (Fraction(rhs[i], tab[i][e]), basic[i]))
+            r = cands[0]  # the least rhs_i / tab_ie; ties to the lowest basic id
+            for i in cands[1:]:
+                d = rhs[i] * tab[r][e] - rhs[r] * tab[i][e]
+                if d < 0 or (d == 0 and basic[i] < basic[r]):
+                    r = i
             self.pivot(r, e)
         return rhs[-1]
 
@@ -195,7 +186,7 @@ class _Dictionary:
             del row[slot]
         return z
 
-    def phase_two(self, s_id, limit=None):
+    def phase_two(self, s_id):
         """Phase II: maximize the slack s (variable ``s_id``) from the
         feasible dictionary Phase I left, and return its optimum (its
         numerator)."""
@@ -206,57 +197,22 @@ class _Dictionary:
         else:
             self.tab.append([-(v == s_id) * self.den for v in self.nonbasic])
             self.rhs.append(self.den * 0)
-        return self.bland(limit)
+        return self.bland()
 
 
-def _float_proposal(dim, rows):
-    """One float run's proposal: ``(S, None)`` when Phase I ends below zero,
-    S the rows of a Farkas support; ``(None, point)`` when it ends at zero,
-    ``point`` the ``_basis_point`` of Phase II's final basis; ``(None, None)``
-    when the floats fail (overflow, cap)."""
+def _farkas_support(dim, rows):
+    """The rows of the Farkas support float Phase I proposes when it ends
+    below zero; None when it ends at zero or the floats fail (overflow,
+    cap)."""
     try:
         lp = _Dictionary(dim, rows, float, _FLOAT_EPS)
-        if lp.phase_one(_FLOAT_PIVOTS) < -_FLOAT_EPS:
-            first = 2 * dim + 1  # variable id of row 0's slack
-            return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
-                          if first <= v < first + len(rows) and y > _FLOAT_EPS), None
-        lp.phase_two(2 * dim, _FLOAT_PIVOTS)
+        if lp.phase_one(_FLOAT_PIVOTS) >= -_FLOAT_EPS:
+            return None
     except (OverflowError, LPError):
-        return None, None
-    return None, _basis_point(dim, rows, lp.nonbasic)
-
-
-def _basis_point(dim, rows, nonbasic):
-    """The point where the variables ``nonbasic`` are zero, exactly: the
-    tight rows (the cap row s <= 1 included) solved for the basic x_j and
-    s by Cramer's rule, as integer numerators of (x_0, ..., s) over one
-    denominator > 0.  None when that system is not square or singular."""
-    first = 2 * dim + 1
-    data = [a + (sigma, b) for a, b, sigma in rows] + [(0,) * dim + (1, 1)]
-    free = [j for j in range(dim) if j not in nonbasic or dim + j not in nonbasic]
-    if 2 * dim not in nonbasic:
-        free.append(dim)  # s, in column dim of ``data``
-    tight = [v - first for v in nonbasic if v >= first]
-    m = [[data[i][j] for j in free] for i in tight]
-    den = _det(m) if len(tight) == len(free) else 0
-    if not den:
         return None
-    nums = [0] * (dim + 1)
-    for c, j in enumerate(free):
-        nums[j] = _det([row[:c] + [data[i][-1]] + row[c + 1:] for row, i in zip(m, tight)])
-    if den < 0:
-        nums, den = [-v for v in nums], -den
-    return nums, den
-
-
-def _certifies(rows, nums, den):
-    """Exact: the point (x, s) = ``nums`` / ``den`` (den > 0) meets every
-    row, 0 <= s <= 1, and s > 0 unless no row is strict; then x lies in
-    the cell, strictly inside every open half-space."""
-    *x, s = nums
-    return (0 <= s <= den and (s > 0 or not any(sigma for _, _, sigma in rows))
-            and all(sum(ai * xi for ai, xi in zip(a, x)) + sigma * s <= b * den
-                    for a, b, sigma in rows))
+    first = 2 * dim + 1  # variable id of row 0's slack
+    return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
+                  if first <= v < first + len(rows) and y > _FLOAT_EPS)
 
 
 def farkas_weights(rows):
@@ -284,22 +240,16 @@ def _det(m):
                for j in range(len(m)) if m[0][j]) if m else 1
 
 
-def solve_slack_lp(dim, rows, optimum=True):
+def solve_slack_lp(dim, rows):
     """Maximize the strict-constraint slack over integer rows.
 
     rows: sequence of (a: tuple of int, b: int, sigma: int >= 0).
-    Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None).
-    With ``optimum`` False a feasible LP may return, instead of the
-    optimizer, any certified point (x, s): it meets every row, with
-    0 <= s <= 1 and s > 0 unless no row is strict.
+    Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
+    (x, s) the exact Bland optimizer of a feasible LP.
     """
-    if not optimum:
-        support, point = _float_proposal(dim, rows)
-        if support and farkas_weights([rows[i] for i in support]) is not None:
-            return False, None, None
-        if point and _certifies(rows, *point):
-            nums, den = point
-            return True, tuple(Fraction(v, den) for v in nums[:-1]), Fraction(nums[-1], den)
+    support = _farkas_support(dim, rows)
+    if support and farkas_weights([rows[i] for i in support]) is not None:
+        return False, None, None
     lp = _Dictionary(dim, rows, int, 0)
     if lp.phase_one() < 0:
         return False, None, None

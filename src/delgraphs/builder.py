@@ -82,7 +82,8 @@ def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
     """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
     order, piece_l one of the constraint tuples of ``levels[l]``, or None;
     each level reuses the point that proved its parent nonempty as hint.
-    Those points are certified, not optimizers: emit only a fresh solve."""
+    The leaf's point may be such an inherited hint, not its optimizer:
+    emit only a fresh solve of the leaf."""
     if not levels:
         return cell
     for piece in levels[0]:
@@ -104,7 +105,7 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     if mode == HOMOTHET:
         base += (POSITIVE_SCALE,)
         dim = 3
-    x = feasible(dim, base, optimum=False)  # decides and seeds the first hint
+    x = feasible(dim, base)  # decides and seeds the first hint
     if x is None:
         return None
     levels = [outside[k] for k in range(len(mems)) if k != i and k != j]
@@ -112,7 +113,7 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     if leaf is None:
         return None
     final = feasible(dim, leaf)
-    if final is None:  # the leaf was certified nonempty on the way down
+    if final is None:  # the leaf was proved nonempty on the way down
         raise AssertionError("feasible cell became infeasible")
     w = _witness_from(final, mode)
     if not verify_witness(points, shape, i, j, w):

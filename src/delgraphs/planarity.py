@@ -195,7 +195,7 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     if not all(allowed):
         return False
     base = (POSITIVE_SCALE, *(c for m in mems for c in m))
-    x = feasible(3, base, optimum=False)
+    x = feasible(3, base)
     return x is not None and first_leaf(3, base, allowed, x) is not None
 
 

@@ -72,26 +72,21 @@ def contains_point(constraints, x: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def feasible(dim: int, constraints, optimum=True) -> tuple[Fraction, ...] | None:
+def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
     """Exact emptiness decision for the cell of Q^dim cut out by the tuple
-    ``constraints``: None when it is empty, otherwise a witness strictly
-    inside all of its open half-spaces: the slack LP's optimizer, or with
-    ``optimum`` False any point of the cell the kernel certified exactly
-    (see ``backend``), fit to decide or hint but not to emit."""
+    ``constraints``: None when it is empty, otherwise the slack LP's
+    optimizer, a witness strictly inside all of its open half-spaces."""
     if any(len(c.coeffs) != dim for c in constraints):
         raise ValueError("constraint dimension mismatch")
-    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints], optimum=optimum)
+    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints])
     if not ok or (s == 0 and any(c.strict for c in constraints)):
         return None
     return x
 
 
 def feasible_with_hint(dim: int, constraints, hint) -> tuple[Fraction, ...] | None:
-    """Like feasible(), but first tests the candidate point ``hint``; a hint
-    inside the cell certifies nonemptiness without a solve and is returned
-    as the point.  Otherwise the point is any certified one, as with
-    ``optimum`` False, not the optimizer.  Verdicts are identical either
-    way; the point may seed a hint but is never emitted."""
+    """The candidate point ``hint`` when it lies in the cell, which
+    certifies nonemptiness without a solve; otherwise ``feasible()``."""
     if contains_point(constraints, hint):
         return hint
-    return feasible(dim, constraints, optimum=False)
+    return feasible(dim, constraints)

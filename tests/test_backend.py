@@ -1,8 +1,8 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
-certified early exit for infeasible LPs and the certified points of
-nonempty base cells and DFS probes (a float proposal may change the
-speed, never a verdict), and the fraction-free pivots against a dense
+certified early exit for infeasible LPs (a float proposal may change the
+speed, never an answer), witnesses that do not depend on the points the
+DFS probes return, and the fraction-free pivots against a dense
 ``Fraction`` reference."""
 
 import functools
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import backend, builder, planarity, region
+from delgraphs import backend, builder, region
 from delgraphs.builder import build_graph
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import find_boundary_degeneracy
@@ -80,8 +80,8 @@ def _run_pinned(monkeypatch):
     solve = backend.solve_slack_lp
     weights = backend.farkas_weights
 
-    def recording(dim, rows, optimum=True):
-        answer = solve(dim, rows, optimum=optimum)
+    def recording(dim, rows):
+        answer = solve(dim, rows)
         log.append(repr((dim, list(rows), answer)))
         return answer
 
@@ -131,89 +131,24 @@ WRONG_PROPOSERS = {
 
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_float_proposal_changes_no_answer(monkeypatch, name):
-    propose = backend._float_proposal
-
-    def wrong(dim, rows):  # a wrong support beside the true vertex
-        return WRONG_PROPOSERS[name](dim, rows), propose(dim, rows)[1]
-
-    monkeypatch.setattr(backend, "_float_proposal", wrong)
+    monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
     pins, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
 
 
-def _solved(dim, rows, num, eps):
-    """The dictionary after Phase I and Phase II over ``num``, or None
-    when Phase I ends below zero."""
-    lp = backend._Dictionary(dim, rows, num, eps)
-    limit = backend._FLOAT_PIVOTS if eps else None
-    if lp.phase_one(limit) < -eps:
-        return None
-    lp.phase_two(2 * dim, limit)
-    return lp
+def _zero_slack(dim, cs):
+    """The optimizer of the closed cell, which asks no slack and so may
+    sit on an open row's boundary, where it lies in ``cs``; otherwise the
+    optimizer of the reversed rows."""
+    x = region.feasible(dim, tuple(region.LinearConstraint(c.coeffs, c.bound) for c in cs))
+    return x if region.contains_point(cs, x) else region.feasible(dim, cs[::-1])
 
 
-def _exact_point(dim, rows):
-    """The exact optimizer (x, s) as (numerators, denominator), or None."""
-    lp = _solved(dim, rows, Fraction, 0)
-    return None if lp is None else backend._basis_point(dim, rows, lp.nonbasic)
-
-
-def _break_last_row(dim, rows):
-    """The exact optimizer moved along the last row's normal until it
-    breaks that row."""
-    point = _exact_point(dim, rows)
-    if point is None:
-        return None
-    (*x, s), den = point
-    a, b, sigma = rows[-1]
-    t = (b * den - sum(c * v for c, v in zip(a, x)) - sigma * s) // sum(c * c for c in a) + 1
-    return [v + t * c for v, c in zip(x, a)] + [s], den
-
-
-# Wrong vertex proposals: none at all, or a point that breaks a row.
-VERTEX_PROPOSERS = {
-    "never": lambda dim, rows: None,
-    "breaks-the-last-row": _break_last_row,
-}
-
-
-def _proposing(monkeypatch, vertex_proposer):
-    """Replace every vertex the floats propose with ``vertex_proposer``'s
-    point, and return the list of (proposed, replacement) pairs."""
-    propose = backend._float_proposal
-    seen = []
-
-    def replaced(dim, rows):
-        support, point = propose(dim, rows)
-        if point is None:
-            return support, None
-        seen.append((point, vertex_proposer(dim, rows)))
-        return None, seen[-1][1]
-
-    monkeypatch.setattr(backend, "_float_proposal", replaced)
-    return seen
-
-
-@pytest.mark.parametrize("name", sorted(VERTEX_PROPOSERS))
-def test_wrong_vertex_proposal_changes_no_answer(monkeypatch, name):
-    seen = _proposing(monkeypatch, VERTEX_PROPOSERS[name])
-    pins, _ = _run_pinned(monkeypatch)
-    assert pins == PINNED
-    assert len(seen) > 100  # every base cell of the pinned runs asked
-
-
-def _zero_slack(dim, rows):
-    """The exact optimizer with s = 0: valid when no row is strict, and
-    otherwise perhaps on the boundary of an open half-space."""
-    point = _exact_point(dim, rows)
-    return point and (point[0][:-1] + [0], point[1])
-
-
-# Other points: Bland's rule on the reversed rows may end on another
-# optimal vertex, which is accepted and seeds other hints; s = 0 is
-# accepted only on cells with no strict row.
+# Other points of the same cell: Bland's rule on the reversed rows may
+# end on another optimal vertex, and the closed cell's optimizer on the
+# boundary of the cell's closure.
 OTHER_POINTS = {
-    "reversed-rows": lambda dim, rows: _exact_point(dim, rows[::-1]),
+    "reversed-rows": lambda dim, cs: region.feasible(dim, cs[::-1]),
     "zero-slack": _zero_slack,
 }
 WITNESS_BUILDS = PINNED_BUILDS + [generate_bounded_instance(116, 16, 6, TRANSLATE)]
@@ -227,130 +162,25 @@ def _witness_edges():
 
 @pytest.mark.parametrize("name", sorted(OTHER_POINTS))
 def test_other_points_change_no_witness(monkeypatch, name):
+    """Each point a DFS probe returns, hint or optimizer, is replaced by
+    another point of the same cell: the witnesses stay the same."""
     want = _witness_edges()
-    seen = _proposing(monkeypatch, OTHER_POINTS[name])
+    probe = builder.feasible_with_hint
+    seen = []
+
+    def replaced(dim, cs, hint):
+        point = probe(dim, cs, hint)
+        if point is None:
+            return None
+        other = OTHER_POINTS[name](dim, cs)
+        assert region.contains_point(cs, other), cs
+        seen.append(point != other)
+        return other
+
+    monkeypatch.setattr(builder, "feasible_with_hint", replaced)
     assert [build_graph(inst.points, inst.shape, mode).edges
             for inst in WITNESS_BUILDS for mode in MODES] == want
-    assert sum(point != other for point, other in seen) > 10
-
-
-# Trial 46 of run_fuzz(50, 7, 10, 7, None).  Unless the float ratio test
-# ties ratios within eps, 3 of its base LPs end on another optimal basis.
-FUZZ_TRIAL_46 = generate_instance(9978910741668045578, 9, 5, TRANSLATE, Fraction(1, 4))
-
-
-def test_float_ratio_ties_reach_the_exact_basis(monkeypatch):
-    base = []
-    asked = []  # every optimum=False LP: the base LPs and the DFS probes
-    solve = backend.solve_slack_lp
-    decide = builder.feasible
-
-    def capturing_base(dim, cs, optimum=True):
-        if not optimum:
-            base.append((dim, [c.row for c in cs]))
-        return decide(dim, cs, optimum=optimum)
-
-    def capturing(dim, rows, optimum=True):
-        answer = solve(dim, rows, optimum=optimum)
-        if not optimum:
-            asked.append((dim, list(rows), answer))
-        return answer
-
-    monkeypatch.setattr(builder, "feasible", capturing_base)
-    monkeypatch.setattr(backend, "solve_slack_lp", capturing)
-    for mode in MODES:
-        build_graph(FUZZ_TRIAL_46.points, FUZZ_TRIAL_46.shape, mode)
-    feasible = 0
-    for dim, rows in base:
-        exact = _solved(dim, rows, Fraction, 0)
-        if exact is not None:
-            feasible += 1
-            approx = _solved(dim, rows, float, backend._FLOAT_EPS)
-            assert sorted(approx.basic) == sorted(exact.basic), rows
-    assert feasible > 20
-    # A probe's float basis may end elsewhere (3 of them here), but only
-    # where its point is not certified and the exact simplex decides.
-    for dim, rows, answer in asked:
-        assert answer == solve(dim, rows), rows
-    assert len(asked) > len(base) + 100
-
-
-def test_certified_base_cells_agree_with_the_exact_solve(monkeypatch):
-    """Base cells and DFS probes of seeded builds in both modes and of the
-    boundary scan: the certified verdict is the exact one, and each
-    certified point lies in its cell."""
-    cells = []  # (kind, dim, cell, the point returned or None, hint or None)
-    for module in (builder, planarity):
-        def capturing(dim, cs, optimum=True, feasible=module.feasible, name=module.__name__):
-            if not optimum:
-                cells.append((name, dim, cs, feasible(dim, cs, optimum=False), None))
-                return cells[-1][3]
-            return feasible(dim, cs)
-        monkeypatch.setattr(module, "feasible", capturing)
-    probe = builder.feasible_with_hint  # first_leaf's, in both searches
-
-    def probing(dim, cs, hint):
-        cells.append(("probe", dim, cs, probe(dim, cs, hint), hint))
-        return cells[-1][3]
-
-    monkeypatch.setattr(builder, "feasible_with_hint", probing)
-    for seed in range(12):
-        inst = generate_instance(300 + seed, 6, 5, TRANSLATE, Fraction(1, 3))
-        for mode in MODES:
-            build_graph(inst.points, inst.shape, mode)
-    built = len(cells)
-    assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points, PINNED_BOUNDARY.shape)
-    certified = nonempty = 0
-    solved = set()
-    for k, (kind, dim, cs, point, hint) in enumerate(cells):
-        exact = region.feasible(dim, cs)
-        assert (point is None) == (exact is None), cs
-        assert point is None or region.contains_point(cs, point), cs
-        if hint is not None and region.contains_point(cs, hint):
-            continue  # a probe its hint decided, with no LP
-        if kind == "probe":
-            kind = "probe in the scan" if k >= built else "probe in the builds"
-        solved.add((kind, dim))
-        rows = [c.row for c in cs]
-        nonempty += exact is not None
-        proposal = backend._float_proposal(dim, rows)[1]
-        if proposal and backend._certifies(rows, *proposal):
-            certified += 1
-            assert exact is not None, cs
-    assert certified > 0.9 * nonempty
-    assert solved == {
-        ("delgraphs.builder", 2), ("delgraphs.builder", 3), ("delgraphs.planarity", 3),
-        ("probe in the builds", 2), ("probe in the builds", 3), ("probe in the scan", 3)}
-
-
-def test_probes_take_the_certified_path(monkeypatch):
-    """Nearly every nonempty DFS probe that misses its hint is decided by
-    a certified float point, not by the exact simplex."""
-    certifies = backend._certifies
-    probe = builder.feasible_with_hint
-    checks = []
-    counts = {"certified": 0, "nonempty": 0}
-
-    def counting(rows, nums, den):
-        ok = certifies(rows, nums, den)
-        checks.append(ok)
-        return ok
-
-    def probing(dim, cs, hint):
-        checks.clear()
-        point = probe(dim, cs, hint)
-        if point is not None and not region.contains_point(cs, hint):
-            counts["nonempty"] += 1
-            counts["certified"] += any(checks)
-        return point
-
-    monkeypatch.setattr(backend, "_certifies", counting)
-    monkeypatch.setattr(builder, "feasible_with_hint", probing)
-    for inst in PINNED_BUILDS:
-        for mode in MODES:
-            build_graph(inst.points, inst.shape, mode)
-    assert counts["nonempty"] > 50
-    assert counts["certified"] > 0.9 * counts["nonempty"]
+    assert sum(seen) > 10
 
 
 def _dense_pivot(lp, r, e):
@@ -457,6 +287,12 @@ def test_ratio_test_is_exact_beyond_float_precision():
     # a true tie with numerators above 2**53 goes to the lowest basic id
     rows = [((1, 0), K + 1, K + 1), ((0, 1), K - 1, K - 1), ((-1, -1), 0, 0)]
     assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 1)
+    # Phase I's first pivot makes aux, the highest id, basic in row 0, and
+    # its next ratio test ties row 0 with row 1: keeping the first tied
+    # row instead of the lowest basic id ends on another vertex
+    rows = [((2 * K, K), -2 * K, K), ((K, 0), -K, 0)]
+    assert backend.solve_slack_lp(2, rows) == (True, (-1, -1), 1)
+    _assert_matches_oracle(2, rows)
 
 
 @pytest.mark.parametrize("digits", [20, 60, 400])
@@ -472,11 +308,10 @@ def test_huge_data_is_decided_by_the_integer_dictionary(digits):
         rows = [(tuple(c * big + rng.randint(-9, 9) for c in a), b * big + rng.randint(-9, 9), sigma)
                 for a, b, sigma in _random_rows(rng, dim, 3)]
         if digits > 300:  # float() of the data overflows
-            assert backend._float_proposal(dim, rows) == (None, None)
+            assert backend._farkas_support(dim, rows) is None
         ok, x, s = backend.solve_slack_lp(dim, rows)
         nonempty, best = oracle_feasible(rows, dim)
         assert ok == (best is not None) and s == best, rows
-        assert backend.solve_slack_lp(dim, rows, optimum=False)[0] == ok
         strict = any(sigma for _, _, sigma in rows)
         cell = ok and (s > 0 or not strict)
         assert cell == nonempty, rows
@@ -537,7 +372,6 @@ def _assert_matches_oracle(dim, rows):
     ok, x, s = backend.solve_slack_lp(dim, rows)
     _, best = oracle_feasible(rows, dim)
     assert ok == (best is not None) and s == best
-    assert backend.solve_slack_lp(dim, rows, optimum=False)[0] == ok
 
 
 H = 10 ** 200  # products of two such entries overflow a float to inf
@@ -549,9 +383,8 @@ BIG = 10 ** 400  # float() of this raises OverflowError
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
 def test_float_overflow_falls_back(dim, rows):
-    assert backend._float_proposal(dim, rows) == (None, None)
+    assert backend._farkas_support(dim, rows) is None
     _assert_matches_oracle(dim, rows)
-    assert backend.solve_slack_lp(dim, rows, optimum=False) == backend.solve_slack_lp(dim, rows)
 
 
 @pytest.mark.parametrize("dim, rows", [
@@ -576,7 +409,7 @@ def test_nearly_parallel_rows_fall_back():
     # opposed parallel rows and propose both; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._float_proposal(2, rows) == ([0, 1], None)
+    assert backend._farkas_support(2, rows) == [0, 1]
     assert backend.farkas_weights(rows) is None
     _assert_matches_oracle(2, rows)
     # Here the float ratio test finds no pivot row (an unbounded claim).
@@ -584,7 +417,7 @@ def test_nearly_parallel_rows_fall_back():
             ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
             ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),
             ((-99999999, 300000000, 1), -3, 0), ((-100000002, -300000002, 1), 4, 0)]
-    assert backend._float_proposal(3, rows) == (None, None)
+    assert backend._farkas_support(3, rows) is None
     _assert_matches_oracle(3, rows)
 
 
@@ -594,11 +427,7 @@ def test_float_pivot_cap_falls_back(monkeypatch):
     capped = feasible = 0
     for _ in range(150):
         rows = _random_rows(rng, 2, 4)
-        capped += backend._float_proposal(2, rows)[0] is None and any(b < 0 for _, b, _ in rows)
+        capped += backend._farkas_support(2, rows) is None and any(b < 0 for _, b, _ in rows)
         _assert_matches_oracle(2, rows)
-        # Phase II needs a pivot before it reaches any vertex: no proposal
-        assert backend._float_proposal(2, rows)[1] is None
-        exact = backend.solve_slack_lp(2, rows)
-        feasible += exact[0]
-        assert backend.solve_slack_lp(2, rows, optimum=False) == exact
+        feasible += backend.solve_slack_lp(2, rows)[0]
     assert capped > 0 and feasible > 50

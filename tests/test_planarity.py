@@ -284,9 +284,9 @@ def count_feasible_calls(monkeypatch) -> list:
     calls = []
     solve = backend.solve_slack_lp
 
-    def counted(dim, rows, optimum=True):
+    def counted(dim, rows):
         calls.append(rows)
-        return solve(dim, rows, optimum=optimum)
+        return solve(dim, rows)
 
     monkeypatch.setattr(backend, "solve_slack_lp", counted)
     return calls

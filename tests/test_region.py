@@ -158,6 +158,10 @@ def test_feasible_with_hint_agrees_with_feasible():
         cell = tuple(cons)
         hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
         point = feasible_with_hint(2, cell, hint)
+        if contains_point(cell, hint):
+            assert point == hint
+        else:  # a hint outside the cell returns exactly feasible()'s answer
+            assert point == feasible(2, cell)
         assert (point is None) == (feasible(2, cell) is None)
         assert point is None or contains_point(cell, point)
 
@@ -169,10 +173,9 @@ def test_feasible_with_hint_agrees_with_feasible():
 ])
 def test_lp_feasible_empty_cell_falls_back(dim, cell):
     # The slack LP is feasible but its optimum is s = 0 on a strict row, so
-    # no float point is certified and the exact simplex says empty.
+    # the floats propose no Farkas support and the exact simplex says empty.
     rows = [c.row for c in cell]
-    proposal = backend._float_proposal(dim, rows)
-    assert proposal[0] is None and not backend._certifies(rows, *proposal[1])
+    assert backend._farkas_support(dim, rows) is None
     assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
     hint = (F(1),) * dim
     assert not contains_point(cell, hint)
