@@ -46,21 +46,27 @@ nonzero: a skipped entry o would become o - f*0, that is o for a finite
 float f, and a non-finite float can change only a proposal, never an
 answer.
 
-Certified early exit: every solve first runs Phase I on floats (sign
-tests to 1e-9, a pivot cap).  If that ends below zero, the objective row
-holds at each row's slack slot its Farkas multiplier, and the rows with
-a positive one (never the cap row) are the proposed support S.
-``farkas_weights`` decides S exactly: integer y >= 0 with y.A_S = 0 and
-y.b_S < 0 proves the LP infeasible, for any (x, s >= 0) would give
-0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as sigma >= 0.
-Otherwise the exact simplex decides alone and returns the optimizer, so
-the floats change only the speed, never an answer.
+Certified early exit: two proposers, tried in turn, each name a Farkas
+support S, and ``farkas_weights`` alone decides it: integer y >= 0 with
+y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
+would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
+sigma >= 0.  First ``_opposed_pair``, exact and float-free: two rows
+with anti-parallel normals whose bounds contradict, or one zero row
+0 <= b < 0.  In the edge search every point's row for one shape edge
+has the same normal, so most empty cells are empty along one direction.
+Then ``_farkas_support``: Phase I on floats (sign tests to 1e-9, a
+pivot cap); if that ends below zero, the objective row holds at each
+row's slack slot its Farkas multiplier, and the rows with a positive
+one (never the cap row) are S.  Otherwise the exact simplex decides
+alone and returns the optimizer, so the proposers change only the
+speed, never an answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .rng import SplitMix64
 
@@ -200,6 +206,28 @@ class _Dictionary:
         return self.bland()
 
 
+def _opposed_pair(rows):
+    """The rows of the tightest opposed pair whose bounds contradict,
+    a.x <= b1 and -a.x <= b2 with b1 + b2 < 0 for a primitive normal a,
+    or of one zero row 0 <= b < 0; None when there is none."""
+    least = {}  # primitive normal -> (b, g, row) with the least b / g
+    for i, (a, b, _) in enumerate(rows):
+        g = gcd(*a)
+        if not g:
+            if b < 0:
+                return [i]
+            continue
+        n = tuple([c // g for c in a])
+        old = least.get(n)
+        if old is None or b * old[1] < old[0] * g:
+            least[n] = b, g, i
+    for n, (b1, g1, i) in least.items():
+        other = least.get(tuple([-c for c in n]))
+        if other and b1 * other[1] + other[0] * g1 < 0:
+            return sorted((i, other[2]))
+    return None
+
+
 def _farkas_support(dim, rows):
     """The rows of the Farkas support float Phase I proposes when it ends
     below zero; None when it ends at zero or the floats fail (overflow,
@@ -247,7 +275,7 @@ def solve_slack_lp(dim, rows):
     Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
     (x, s) the exact Bland optimizer of a feasible LP.
     """
-    support = _farkas_support(dim, rows)
+    support = _opposed_pair(rows) or _farkas_support(dim, rows)
     if support and farkas_weights([rows[i] for i in support]) is not None:
         return False, None, None
     lp = _Dictionary(dim, rows, int, 0)

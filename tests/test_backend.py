@@ -1,15 +1,17 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
-certified early exit for infeasible LPs (a float proposal may change the
-speed, never an answer), witnesses that do not depend on the points the
-DFS probes return, and the fraction-free pivots against a dense
-``Fraction`` reference."""
+certified early exits for infeasible LPs (a proposal, from the opposed
+pair or the floats, may change the speed, never an answer), witnesses
+that do not depend on the points the DFS probes return, and the
+fraction-free pivots against a dense ``Fraction`` reference."""
 
 import functools
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -39,6 +41,35 @@ def _random_rows(rng, dim, base):
     return rows
 
 
+@pytest.fixture
+def solve(monkeypatch):
+    """``solve_slack_lp`` that also names the exit that decided it:
+    "pair" or "float" when ``farkas_weights`` certifies the support that
+    proposer made, otherwise "exact", the exact simplex."""
+    seen = {}
+
+    def spying(exit, propose):
+        def spy(*args):
+            seen["exit"] = exit
+            return propose(*args)
+        return spy
+
+    def certifying(rows, weights=backend.farkas_weights):
+        y = weights(rows)
+        seen["certified"] = y is not None
+        return y
+
+    monkeypatch.setattr(backend, "_opposed_pair", spying("pair", backend._opposed_pair))
+    monkeypatch.setattr(backend, "_farkas_support", spying("float", backend._farkas_support))
+    monkeypatch.setattr(backend, "farkas_weights", certifying)
+
+    def run(dim, rows):
+        seen.clear()
+        answer = backend.solve_slack_lp(dim, rows)
+        return answer, seen["exit"] if seen.get("certified") else "exact"
+    return run
+
+
 @pytest.mark.parametrize("dim, base, count", [(2, 4, 400), (3, 3, 150)])
 def test_optimum_matches_bruteforce_oracle(dim, base, count):
     rng = random.Random(4881 + dim)
@@ -56,10 +87,13 @@ def test_optimum_matches_bruteforce_oracle(dim, base, count):
             assert sum(c * v for c, v in zip(a, x)) + sigma * s <= b, (rows, x, s)
 
 
-# Between them these runs reach every branch of the kernel: no Phase I,
-# Phase I infeasible, the auxiliary variable still basic after Phase I,
-# and s basic when Phase II starts.  The boundary scan makes 3-D LPs with
-# equality pairs, where the auxiliary variable most often stays basic.
+# Between them these runs reach every branch of the kernel: the pair
+# exit and the float exit, no Phase I, the auxiliary variable still basic
+# after Phase I, and s basic when Phase II starts.  The pair exit and
+# then the floats certify every empty LP here, so exact Phase I ends
+# infeasible only under the wrong proposers of the two tests below.  The
+# boundary scan makes 3-D LPs with equality pairs, where the auxiliary
+# variable most often stays basic.
 PINNED_BUILDS = [generate_instance(seed, 6, 5, TRANSLATE, Fraction(1, 3))
                  for seed in (2, 13, 19, 22, 23)]
 PINNED_BUILDS.append(generate_bounded_instance(116, 5, 6, TRANSLATE))
@@ -73,12 +107,14 @@ PINNED = {
 
 
 def _run_pinned(monkeypatch):
-    """({pin: (calls, SHA-256)}, certified exits) over the pinned builds
-    and boundary scan."""
+    """({pin: (calls, SHA-256)}, certified exits, pair exits) over the
+    pinned builds and boundary scan."""
     log = []
     certified = []
+    pairs = []
     solve = backend.solve_slack_lp
     weights = backend.farkas_weights
+    pair = backend._opposed_pair
 
     def recording(dim, rows):
         answer = solve(dim, rows)
@@ -97,8 +133,15 @@ def _run_pinned(monkeypatch):
             certified.append(y)
         return y
 
+    def pairing(rows):
+        support = pair(rows)
+        if support:
+            pairs.append(support)
+        return support
+
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
     monkeypatch.setattr(backend, "farkas_weights", counting)
+    monkeypatch.setattr(backend, "_opposed_pair", pairing)
     for inst in PINNED_BUILDS:
         for mode in MODES:
             build_graph(inst.points, inst.shape, mode)
@@ -106,13 +149,13 @@ def _run_pinned(monkeypatch):
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
     pins["boundary"] = pin()
-    return pins, len(certified)
+    return pins, len(certified), len(pairs)
 
 
 def test_kernel_answers_are_pinned(monkeypatch):
-    pins, certified = _run_pinned(monkeypatch)
+    pins, certified, pairs = _run_pinned(monkeypatch)
     assert pins == PINNED
-    assert certified > 0  # the certified exit is taken on these builds
+    assert certified > pairs > 0  # both certified exits, pair and float, are taken
 
 
 def _feasible_subset(dim, rows):
@@ -132,8 +175,57 @@ WRONG_PROPOSERS = {
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_float_proposal_changes_no_answer(monkeypatch, name):
     monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
-    pins, _ = _run_pinned(monkeypatch)
+    pins, _, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
+def test_pair_proposal_changes_no_answer(monkeypatch, name):
+    wrong = WRONG_PROPOSERS[name]
+    monkeypatch.setattr(backend, "_opposed_pair", lambda rows: wrong(len(rows[0][0]), rows))
+    pins, _, _ = _run_pinned(monkeypatch)
+    assert pins == PINNED
+
+
+def _contradictory_pairs(rows):
+    """Every support of one zero row 0 <= b < 0 or of two rows a.x <= b1,
+    -t*a.x <= b2 (t > 0) with t*b1 + b2 < 0, found by brute force."""
+    found = [[i] for i, (a, b, _) in enumerate(rows) if not any(a) and b < 0]
+    for (i, (a1, b1, _)), (j, (a2, b2, _)) in combinations(enumerate(rows), 2):
+        if (dot := sum(u * v for u, v in zip(a1, a2))) < 0:
+            t = Fraction(-dot, sum(u * u for u in a1))  # a2 = -t * a1 if parallel
+            if all(v == -t * u for u, v in zip(a1, a2)) and t * b1 + b2 < 0:
+                found.append([i, j])
+    return found
+
+
+@pytest.mark.parametrize("dim, base, count", [(2, 4, 400), (3, 3, 150)])
+def test_opposed_pair_finds_every_contradictory_pair(dim, base, count):
+    """On the oracle test's LPs: a support that ``farkas_weights``
+    certifies exactly when a brute-force scan finds one."""
+    rng = random.Random(4881 + dim)
+    found = 0
+    for _ in range(count):
+        rows = _random_rows(rng, dim, base)
+        support = backend._opposed_pair(rows)
+        if not (pairs := _contradictory_pairs(rows)):
+            assert support is None, rows
+            continue
+        found += 1
+        assert support in pairs
+        assert backend.farkas_weights([rows[i] for i in support]) is not None, rows
+    assert found > 20
+
+
+def test_zero_normal_rows():
+    """A zero row 0 <= b: with b < 0 a one-row support, else no
+    constraint."""
+    rows = [((0, 0), -1, 0)]
+    assert backend._opposed_pair(rows) == [0]
+    assert backend.solve_slack_lp(2, rows) == (False, None, None)
+    rows = [((0, 0), 0, 1)]
+    assert backend._opposed_pair(rows) is None
+    assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 0)
 
 
 def _zero_slack(dim, cs):
@@ -336,11 +428,13 @@ def _is_certificate(rows, y):
     ([((1, 0, 0), 0, 0), ((0, 1, 0), 0, 1), ((0, 0, 1), 0, 0),
       ((-1, -1, -1), -1, 1)], (1, 1, 1, 1)),
 ])
-def test_farkas_weights_accepts_a_true_certificate(rows, expected):
+def test_farkas_weights_accepts_a_true_certificate(solve, rows, expected):
     y = backend.farkas_weights(rows)
     assert y is not None and _is_certificate(rows, y)
     assert all(v * expected[0] == e * y[0] for v, e in zip(y, expected))
-    assert backend.solve_slack_lp(len(rows[0][0]), rows) == (False, None, None)
+    # two opposed rows leave by the pair exit, a triangle or a simplex by the floats
+    assert solve(len(rows[0][0]), rows) == ((False, None, None),
+                                            "pair" if len(rows) == 2 else "float")
 
 
 @pytest.mark.parametrize("rows", [
@@ -357,6 +451,14 @@ def test_farkas_weights_accepts_a_true_certificate(rows, expected):
 ])
 def test_farkas_weights_rejects(rows):
     assert backend.farkas_weights(rows) is None
+
+
+def test_opposed_pair_takes_the_tightest_pair(solve):
+    """The rank-deficient rows above, x <= -1, x >= 0 and 2x <= -3, are
+    decided by the tightest pair, x >= 0 and 2x <= -3."""
+    rows = [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)]
+    assert backend._opposed_pair(rows) == [1, 2]
+    assert solve(2, rows) == ((False, None, None), "pair")
 
 
 def _float_values(dim, rows):
@@ -379,11 +481,12 @@ BIG = 10 ** 400  # float() of this raises OverflowError
 
 
 @pytest.mark.parametrize("dim, rows", [
-    (2, [((BIG, 0), -BIG, 0), ((-BIG, 0), 0, 1)]),  # x <= -1, x >= 0
+    (2, [((BIG, 0), 0, 0), ((0, BIG), 0, 0), ((-BIG, -BIG), -BIG, 0)]),  # x, y <= 0, x + y >= 1
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
-def test_float_overflow_falls_back(dim, rows):
+def test_float_overflow_falls_back(solve, dim, rows):
     assert backend._farkas_support(dim, rows) is None
+    assert solve(dim, rows)[1] == "exact"
     _assert_matches_oracle(dim, rows)
 
 
@@ -410,7 +513,7 @@ def test_nearly_parallel_rows_fall_back():
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
     assert backend._farkas_support(2, rows) == [0, 1]
-    assert backend.farkas_weights(rows) is None
+    assert backend._opposed_pair(rows) is None and backend.farkas_weights(rows) is None
     _assert_matches_oracle(2, rows)
     # Here the float ratio test finds no pivot row (an unbounded claim).
     rows = [((-100000001, 300000001, -1), -3, 0), ((-100000001, 299999999, -2), 1, 0),
@@ -421,13 +524,19 @@ def test_nearly_parallel_rows_fall_back():
     _assert_matches_oracle(3, rows)
 
 
-def test_float_pivot_cap_falls_back(monkeypatch):
+def test_float_pivot_cap_falls_back(monkeypatch, solve):
     monkeypatch.setattr(backend, "_FLOAT_PIVOTS", 0)
     rng = random.Random(4881)
     capped = feasible = 0
+    exits = Counter()
     for _ in range(150):
         rows = _random_rows(rng, 2, 4)
         capped += backend._farkas_support(2, rows) is None and any(b < 0 for _, b, _ in rows)
         _assert_matches_oracle(2, rows)
-        feasible += backend.solve_slack_lp(2, rows)[0]
+        (ok, _, _), exit = solve(2, rows)
+        feasible += ok
+        exits[exit, ok] += 1
     assert capped > 0 and feasible > 50
+    # no float proposal survives the cap: the empty LPs without a
+    # contradictory pair reach exact Phase I
+    assert exits["float", False] == 0 and exits["exact", False] > 10

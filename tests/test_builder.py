@@ -248,3 +248,30 @@ def test_graphs_are_invariant_under_rational_affine_maps():
             assert translate == build_graph(pts, cone, HOMOTHET).edge_pairs(), seed
             cones += bool(translate)
     assert cones > 12
+
+
+def test_graphs_are_invariant_under_moving_the_shape():
+    """Metamorphic relations on the shape alone: C -> mu*C + v (rational
+    mu > 0) rewrites each row a.x <= b as a.x <= mu*b + a.v and keeps
+    the family of homothets, so the homothet graph; C -> C + v keeps the
+    family of translates, so the translate graph.  As a control, scaling
+    does change some translate graphs."""
+    rng = random.Random(4881)
+    nonempty = scaled = 0
+    for seed in range(12):
+        inst = generate_instance(7100 + seed, 6, 4, TRANSLATE, F(1, 3))
+        mu = abs(_big_rational(rng)) or F(1)
+        v = (_big_rational(rng), _big_rational(rng))
+
+        def edges(scale, mode):
+            shape = shape_from_rows([(*h.a, scale * h.b + h.a[0] * v[0] + h.a[1] * v[1], h.strict)
+                                     for h in inst.shape.halfplanes])
+            return build_graph(inst.points, shape, mode).edge_pairs()
+
+        want = {mode: build_graph(inst.points, inst.shape, mode).edge_pairs()
+                for mode in (HOMOTHET, TRANSLATE)}
+        assert edges(mu, HOMOTHET) == want[HOMOTHET], seed
+        assert edges(1, TRANSLATE) == want[TRANSLATE], seed
+        nonempty += bool(want[HOMOTHET]) + bool(want[TRANSLATE])
+        scaled += edges(mu, TRANSLATE) != want[TRANSLATE]
+    assert nonempty > 16 and scaled > 1
