@@ -1,5 +1,5 @@
 """The exact kernels: the slack-maximizing simplex and the
-placement-sampling sweep.  Floats only propose; every decision is exact.
+placement-sampling sweep.  Every number in the LP kernel is an integer.
 
 The LP solved here, for constraint rows ``a.x (<|<=) b`` over x in Q^dim:
 
@@ -25,7 +25,7 @@ nonbasic slot: each row is ``y . [A | I | -1]`` for some multipliers y,
 every slack column is still present, so a row reading ``aux = rhs``
 alone would force y = 0.
 
-The exact dictionary is fraction-free (Edmonds 1967, Bareiss 1968): its
+The dictionary is fraction-free (Edmonds 1967, Bareiss 1968): its
 entries are integer numerators over one shared ``den`` > 0, 1 at the
 start.  A pivot on p = tab[r][e] takes each other row's slot j to
 ``(tab_ij*p - f*tab_rj) // den`` (f = tab_ie) and its slot e to -f, the
@@ -40,26 +40,18 @@ rhs_i / tab_ie does not depend on ``den``.  Ratios are compared by
 cross-multiplication, rhs_i / tab_ie < rhs_r / tab_re iff
 rhs_i*tab_re < rhs_r*tab_ie as both tab entries are positive, so every
 pivot and every answer is that of the same simplex over ``Fraction``
-values.  The float dictionary, which only proposes, keeps ``den`` = 1,
-divides the pivot row by p and updates only the slots where that row is
-nonzero: a skipped entry o would become o - f*0, that is o for a finite
-float f, and a non-finite float can change only a proposal, never an
-answer.
+values.
 
-Certified early exit: two proposers, tried in turn, each name a Farkas
-support S, and ``farkas_weights`` alone decides it: integer y >= 0 with
-y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any (x, s >= 0)
-would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as
-sigma >= 0.  First ``_opposed_pair``, exact and float-free: two rows
-with anti-parallel normals whose bounds contradict, or one zero row
-0 <= b < 0.  In the edge search every point's row for one shape edge
-has the same normal, so most empty cells are empty along one direction.
-Then ``_farkas_support``: Phase I on floats (sign tests to 1e-9, a
-pivot cap); if that ends below zero, the objective row holds at each
-row's slack slot its Farkas multiplier, and the rows with a positive
-one (never the cap row) are S.  Otherwise the exact simplex decides
-alone and returns the optimizer, so the proposers change only the
-speed, never an answer.
+Certified early exit: ``_opposed_pair`` names a Farkas support S, two
+rows with anti-parallel normals whose bounds contradict or one zero row
+0 <= b < 0, and ``farkas_weights`` alone decides it: integer y >= 0
+with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any
+(x, s >= 0) would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s)
+<= y.b_S < 0, as sigma >= 0.  In the edge search every point's row for
+one shape edge has the same normal, so most empty cells are empty along
+one direction.  Every other LP goes to the simplex, whose Phase I
+decides the remaining empties and whose Phase II returns the optimizer,
+so the pair changes only the speed, never an answer.
 """
 
 from __future__ import annotations
@@ -69,9 +61,6 @@ from itertools import combinations
 from math import gcd
 
 from .rng import SplitMix64
-
-_FLOAT_EPS = 1e-9
-_FLOAT_PIVOTS = 200  # float Phase I cap; the benchmark's LPs need at most 14
 
 
 def backend_name() -> str:
@@ -83,22 +72,17 @@ class LPError(RuntimeError):
 
 
 class _Dictionary:
-    """The slack LP as a simplex dictionary: ``num`` converts the integer
-    data and ``eps`` is the tolerance of every sign test.  With ``eps`` 0
-    it is exact and fraction-free (integer numerators over ``den`` > 0,
-    which decide); with ``eps`` > 0 it holds normalized floats (``den`` 1),
-    which only propose."""
+    """The slack LP as a fraction-free simplex dictionary: integer
+    numerators over one shared ``den`` > 0."""
 
-    def __init__(self, dim, rows, num, eps):
+    def __init__(self, dim, rows):
         nvar = 2 * dim + 1  # x_j split into u_j - v_j, plus the slack s
-        self.eps, self.den = eps, num(1)
-        self.tab, self.rhs = [], []  # row i: coefficients over nonbasic slots
-        for a, b, sigma in rows:
-            row = [num(c) for c in a]
-            self.tab.append(row + [-c for c in row] + [num(sigma)])
-            self.rhs.append(num(b))
-        self.tab.append([num(0)] * (nvar - 1) + [num(1)])  # cap row: s <= 1
-        self.rhs.append(num(1))
+        self.den = 1
+        # row i: coefficients over nonbasic slots
+        self.tab = [[*a, *(-c for c in a), sigma] for a, _, sigma in rows]
+        self.rhs = [b for _, b, _ in rows]
+        self.tab.append([0] * (nvar - 1) + [1])  # cap row: s <= 1
+        self.rhs.append(1)
         self.nonbasic = list(range(nvar))
         self.basic = list(range(nvar, nvar + len(self.tab)))
 
@@ -107,51 +91,34 @@ class _Dictionary:
         return min(slots, key=self.nonbasic.__getitem__, default=-1)
 
     def pivot(self, r, e):
+        """Pivot on p = tab[r][e]: p becomes den, and every division is
+        exact."""
         tab, rhs, den = self.tab, self.rhs, self.den
         row = tab[r]
         p = row[e]
-        if self.eps:  # floats: divide the pivot row by p
-            inv = 1 / p
-            nz = [j for j, v in enumerate(row) if v and j != e]  # the rest stay put
-            for j in nz:
-                row[j] *= inv
-            row[e] = inv
-            rhs[r] = rhs[r] * inv
-            for i, other in enumerate(tab):
-                if i == r or not (f := other[e]):
-                    continue
-                for j in nz:
-                    other[j] -= f * row[j]
-                other[e] = -f * inv
-                rhs[i] = rhs[i] - f * rhs[r]
-        else:  # numerators over den: p becomes den, and every division is exact
-            for i, other in enumerate(tab):
-                if i == r:
-                    continue
-                if f := other[e]:
-                    other[:] = [(o * p - f * v) // den for o, v in zip(other, row)]
-                    other[e] = -f
-                elif p != den:
-                    other[:] = [o * p // den for o in other]
-                rhs[i] = (rhs[i] * p - f * rhs[r]) // den
-            row[e], self.den = den, abs(p)
-            if p < 0:  # keep den > 0
-                for other in tab:
-                    other[:] = [-v for v in other]
-                rhs[:] = [-v for v in rhs]
+        for i, other in enumerate(tab):
+            if i == r:
+                continue
+            if f := other[e]:
+                other[:] = [(o * p - f * v) // den for o, v in zip(other, row)]
+                other[e] = -f
+            elif p != den:
+                other[:] = [o * p // den for o in other]
+            rhs[i] = (rhs[i] * p - f * rhs[r]) // den
+        row[e], self.den = den, abs(p)
+        if p < 0:  # keep den > 0
+            for other in tab:
+                other[:] = [-v for v in other]
+            rhs[:] = [-v for v in rhs]
         self.nonbasic[e], self.basic[r] = self.basic[r], self.nonbasic[e]
 
-    def bland(self, limit=None):
+    def bland(self):
         """Maximize the objective tab[-1] (stored negated) and return its
-        optimum (its numerator); raise LPError after ``limit`` pivots."""
-        tab, rhs, basic, eps = self.tab, self.rhs, self.basic, self.eps
+        optimum (its numerator)."""
+        tab, rhs, basic = self.tab, self.rhs, self.basic
         obj = tab[-1]
-        steps = 0
-        while (e := self.lowest(j for j in range(len(obj)) if obj[j] < -eps)) >= 0:
-            if steps == limit:
-                raise LPError("pivot cap reached")
-            steps += 1
-            cands = [i for i in range(len(tab) - 1) if tab[i][e] > eps]
+        while (e := self.lowest(j for j in range(len(obj)) if obj[j] < 0)) >= 0:
+            cands = [i for i in range(len(tab) - 1) if tab[i][e] > 0]
             if not cands:
                 raise LPError("objective unbounded; the s <= 1 cap should prevent this")
             r = cands[0]  # the least rhs_i / tab_ie; ties to the lowest basic id
@@ -162,7 +129,7 @@ class _Dictionary:
             self.pivot(r, e)
         return rhs[-1]
 
-    def phase_one(self, limit=None):
+    def phase_one(self):
         """Phase I: return the optimum of -aux, 0 when no rhs is negative.
         Unless it is negative, aux then leaves the dictionary."""
         tab, rhs, nonbasic, den = self.tab, self.rhs, self.nonbasic, self.den
@@ -173,11 +140,11 @@ class _Dictionary:
         for row in tab:
             row.append(-den)
         nonbasic.append(aux_id)
-        tab.append([den * 0] * nvar + [den])
-        rhs.append(den * 0)
+        tab.append([0] * nvar + [den])
+        rhs.append(0)
         self.pivot(worst, nvar)  # aux enters on the first row of least rhs
-        z = self.bland(limit)
-        if z < -self.eps:
+        z = self.bland()
+        if z < 0:
             return z
         del tab[-1], rhs[-1]
         if aux_id in self.basic:
@@ -202,7 +169,7 @@ class _Dictionary:
             self.rhs.append(self.rhs[r])
         else:
             self.tab.append([-(v == s_id) * self.den for v in self.nonbasic])
-            self.rhs.append(self.den * 0)
+            self.rhs.append(0)
         return self.bland()
 
 
@@ -226,21 +193,6 @@ def _opposed_pair(rows):
         if other and b1 * other[1] + other[0] * g1 < 0:
             return sorted((i, other[2]))
     return None
-
-
-def _farkas_support(dim, rows):
-    """The rows of the Farkas support float Phase I proposes when it ends
-    below zero; None when it ends at zero or the floats fail (overflow,
-    cap)."""
-    try:
-        lp = _Dictionary(dim, rows, float, _FLOAT_EPS)
-        if lp.phase_one(_FLOAT_PIVOTS) >= -_FLOAT_EPS:
-            return None
-    except (OverflowError, LPError):
-        return None
-    first = 2 * dim + 1  # variable id of row 0's slack
-    return sorted(v - first for v, y in zip(lp.nonbasic, lp.tab[-1])
-                  if first <= v < first + len(rows) and y > _FLOAT_EPS)
 
 
 def farkas_weights(rows):
@@ -275,10 +227,10 @@ def solve_slack_lp(dim, rows):
     Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
     (x, s) the exact Bland optimizer of a feasible LP.
     """
-    support = _opposed_pair(rows) or _farkas_support(dim, rows)
+    support = _opposed_pair(rows)
     if support and farkas_weights([rows[i] for i in support]) is not None:
         return False, None, None
-    lp = _Dictionary(dim, rows, int, 0)
+    lp = _Dictionary(dim, rows)
     if lp.phase_one() < 0:
         return False, None, None
     s = lp.phase_two(2 * dim)

@@ -1,15 +1,14 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
-certified early exits for infeasible LPs (a proposal, from the opposed
-pair or the floats, may change the speed, never an answer), witnesses
-that do not depend on the points the DFS probes return, and the
-fraction-free pivots against a dense ``Fraction`` reference."""
+certified early exit for infeasible LPs (an opposed-pair proposal may
+change the speed, never an answer), exact Phase I on the empty LPs no
+pair decides, extreme data against the oracle, witnesses that do not
+depend on the points the DFS probes return, and the fraction-free
+pivots against a dense ``Fraction`` reference."""
 
 import functools
 import hashlib
-import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,29 +43,21 @@ def _random_rows(rng, dim, base):
 @pytest.fixture
 def solve(monkeypatch):
     """``solve_slack_lp`` that also names the exit that decided it:
-    "pair" or "float" when ``farkas_weights`` certifies the support that
-    proposer made, otherwise "exact", the exact simplex."""
+    "pair" when ``farkas_weights`` certifies the opposed pair, otherwise
+    "exact", the exact simplex."""
     seen = {}
-
-    def spying(exit, propose):
-        def spy(*args):
-            seen["exit"] = exit
-            return propose(*args)
-        return spy
 
     def certifying(rows, weights=backend.farkas_weights):
         y = weights(rows)
         seen["certified"] = y is not None
         return y
 
-    monkeypatch.setattr(backend, "_opposed_pair", spying("pair", backend._opposed_pair))
-    monkeypatch.setattr(backend, "_farkas_support", spying("float", backend._farkas_support))
     monkeypatch.setattr(backend, "farkas_weights", certifying)
 
     def run(dim, rows):
         seen.clear()
         answer = backend.solve_slack_lp(dim, rows)
-        return answer, seen["exit"] if seen.get("certified") else "exact"
+        return answer, "pair" if seen.get("certified") else "exact"
     return run
 
 
@@ -88,12 +79,11 @@ def test_optimum_matches_bruteforce_oracle(dim, base, count):
 
 
 # Between them these runs reach every branch of the kernel: the pair
-# exit and the float exit, no Phase I, the auxiliary variable still basic
-# after Phase I, and s basic when Phase II starts.  The pair exit and
-# then the floats certify every empty LP here, so exact Phase I ends
-# infeasible only under the wrong proposers of the two tests below.  The
-# boundary scan makes 3-D LPs with equality pairs, where the auxiliary
-# variable most often stays basic.
+# exit, exact Phase I ending infeasible (the empty LPs no opposed pair
+# decides, whose Farkas support has three or more rows), no Phase I, the
+# auxiliary variable still basic after Phase I, and s basic when Phase II
+# starts.  The boundary scan makes 3-D LPs with equality pairs, where the
+# auxiliary variable most often stays basic.
 PINNED_BUILDS = [generate_instance(seed, 6, 5, TRANSLATE, Fraction(1, 3))
                  for seed in (2, 13, 19, 22, 23)]
 PINNED_BUILDS.append(generate_bounded_instance(116, 5, 6, TRANSLATE))
@@ -107,14 +97,16 @@ PINNED = {
 
 
 def _run_pinned(monkeypatch):
-    """({pin: (calls, SHA-256)}, certified exits, pair exits) over the
-    pinned builds and boundary scan."""
+    """({pin: (calls, SHA-256)}, certified exits, pair exits, exact Phase I
+    infeasible) over the pinned builds and boundary scan."""
     log = []
     certified = []
     pairs = []
+    empties = []
     solve = backend.solve_slack_lp
     weights = backend.farkas_weights
     pair = backend._opposed_pair
+    phase_one = backend._Dictionary.phase_one
 
     def recording(dim, rows):
         answer = solve(dim, rows)
@@ -139,9 +131,16 @@ def _run_pinned(monkeypatch):
             pairs.append(support)
         return support
 
+    def phasing(lp):
+        z = phase_one(lp)
+        if z < 0:
+            empties.append(z)
+        return z
+
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
     monkeypatch.setattr(backend, "farkas_weights", counting)
     monkeypatch.setattr(backend, "_opposed_pair", pairing)
+    monkeypatch.setattr(backend._Dictionary, "phase_one", phasing)
     for inst in PINNED_BUILDS:
         for mode in MODES:
             build_graph(inst.points, inst.shape, mode)
@@ -149,13 +148,14 @@ def _run_pinned(monkeypatch):
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
     pins["boundary"] = pin()
-    return pins, len(certified), len(pairs)
+    return pins, len(certified), len(pairs), len(empties)
 
 
 def test_kernel_answers_are_pinned(monkeypatch):
-    pins, certified, pairs = _run_pinned(monkeypatch)
+    pins, certified, pairs, empties = _run_pinned(monkeypatch)
     assert pins == PINNED
-    assert certified > pairs > 0  # both certified exits, pair and float, are taken
+    assert certified == pairs > 0  # every proposed pair here is certified
+    assert empties > 0  # and exact Phase I decides the empty LPs no pair does
 
 
 def _feasible_subset(dim, rows):
@@ -173,17 +173,10 @@ WRONG_PROPOSERS = {
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
-def test_float_proposal_changes_no_answer(monkeypatch, name):
-    monkeypatch.setattr(backend, "_farkas_support", WRONG_PROPOSERS[name])
-    pins, _, _ = _run_pinned(monkeypatch)
-    assert pins == PINNED
-
-
-@pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_pair_proposal_changes_no_answer(monkeypatch, name):
     wrong = WRONG_PROPOSERS[name]
     monkeypatch.setattr(backend, "_opposed_pair", lambda rows: wrong(len(rows[0][0]), rows))
-    pins, _, _ = _run_pinned(monkeypatch)
+    pins, _, _, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
 
 
@@ -280,7 +273,7 @@ def _dense_pivot(lp, r, e):
     zero entries of the pivot row included, and divides by the pivot."""
     tab, rhs = lp.tab, lp.rhs
     row = tab[r]
-    inv = 1 / row[e]
+    inv = Fraction(1) / row[e]
     row[:] = [v * inv for v in row]
     row[e] = inv
     rhs[r] = rhs[r] * inv
@@ -299,6 +292,11 @@ class _Dense(backend._Dictionary):
 
     pivot = _dense_pivot
 
+    def __init__(self, dim, rows):
+        super().__init__(dim, rows)
+        self.tab = [[Fraction(v) for v in row] for row in self.tab]
+        self.rhs = [Fraction(v) for v in self.rhs]
+
 
 def _values(lp):
     """Every entry as a value, numerator / ``den``, with the bases."""
@@ -306,21 +304,19 @@ def _values(lp):
             [Fraction(v) / lp.den for v in lp.rhs], lp.basic, lp.nonbasic)
 
 
-@pytest.mark.parametrize("num, eps", [(int, 0), (float, backend._FLOAT_EPS)])
-def test_sparse_pivot_matches_the_dense_one(num, eps):
-    """Floats slot for slot; integer numerators over ``den`` as values,
-    against the dense ``Fraction`` reference."""
+def test_fraction_free_pivot_matches_the_dense_one():
+    """Integer numerators over ``den`` as values, against the dense
+    ``Fraction`` reference."""
     rng = random.Random(4881)
     pivots = zeros = negative = 0
     for _ in range(120):
         dim = rng.choice((2, 3))
         rows = _random_rows(rng, dim, 4)
         obj = [rng.randint(-3, 3) for _ in range(2 * dim + 1)]
-        lp = backend._Dictionary(dim, rows, num, eps)
-        dense = backend._Dictionary(dim, rows, num, eps) if eps else _Dense(dim, rows, Fraction, 0)
+        lp, dense = backend._Dictionary(dim, rows), _Dense(dim, rows)
         for d in (lp, dense):
             d.tab.append([d.den * c for c in obj])  # an objective row
-            d.rhs.append(d.den * 0)
+            d.rhs.append(0)
         for _ in range(6):
             r = rng.randrange(len(lp.tab) - 1)
             slots = [j for j, v in enumerate(lp.tab[r]) if v != 0]
@@ -332,8 +328,6 @@ def test_sparse_pivot_matches_the_dense_one(num, eps):
             lp.pivot(r, e)
             _dense_pivot(dense, r, e)
             pivots += 1
-            if not all(math.isfinite(v) for row in lp.tab for v in row + lp.rhs):
-                break  # float equality is exact only while every value is finite
             assert lp.den > 0 and _values(lp) == _values(dense)
     assert pivots > 500 and zeros > pivots  # the skipped entries are exercised
     assert negative > 100  # and pivots on p < 0, which negate every numerator
@@ -348,7 +342,7 @@ def test_phases_match_the_dense_reference_after_pivots():
     for _ in range(200):
         dim = rng.choice((2, 3))
         rows = _random_rows(rng, dim, 4)
-        lp, dense = backend._Dictionary(dim, rows, int, 0), _Dense(dim, rows, Fraction, 0)
+        lp, dense = backend._Dictionary(dim, rows), _Dense(dim, rows)
         for _ in range(rng.randint(1, 3)):
             r = rng.randrange(len(lp.tab))
             if slots := [j for j, v in enumerate(lp.tab[r]) if v != 0]:
@@ -391,7 +385,7 @@ def test_ratio_test_is_exact_beyond_float_precision():
 def test_huge_data_is_decided_by_the_integer_dictionary(digits):
     """Seeded LPs with data near 10**digits, nearly parallel rows mixed
     in: the verdict, the optimal s and the cell membership of x against
-    the brute-force oracle, with the floats out of the decision."""
+    the brute-force oracle."""
     rng = random.Random(digits)
     big = 10 ** digits
     verdicts = []
@@ -399,8 +393,6 @@ def test_huge_data_is_decided_by_the_integer_dictionary(digits):
         dim = rng.choice((2, 2, 3))
         rows = [(tuple(c * big + rng.randint(-9, 9) for c in a), b * big + rng.randint(-9, 9), sigma)
                 for a, b, sigma in _random_rows(rng, dim, 3)]
-        if digits > 300:  # float() of the data overflows
-            assert backend._farkas_support(dim, rows) is None
         ok, x, s = backend.solve_slack_lp(dim, rows)
         nonempty, best = oracle_feasible(rows, dim)
         assert ok == (best is not None) and s == best, rows
@@ -432,9 +424,9 @@ def test_farkas_weights_accepts_a_true_certificate(solve, rows, expected):
     y = backend.farkas_weights(rows)
     assert y is not None and _is_certificate(rows, y)
     assert all(v * expected[0] == e * y[0] for v, e in zip(y, expected))
-    # two opposed rows leave by the pair exit, a triangle or a simplex by the floats
+    # two opposed rows leave by the pair exit, a triangle or a simplex by exact Phase I
     assert solve(len(rows[0][0]), rows) == ((False, None, None),
-                                            "pair" if len(rows) == 2 else "float")
+                                            "pair" if len(rows) == 2 else "exact")
 
 
 @pytest.mark.parametrize("rows", [
@@ -461,21 +453,15 @@ def test_opposed_pair_takes_the_tightest_pair(solve):
     assert solve(2, rows) == ((False, None, None), "pair")
 
 
-def _float_values(dim, rows):
-    lp = backend._Dictionary(dim, rows, float, backend._FLOAT_EPS)
-    try:
-        lp.phase_one(backend._FLOAT_PIVOTS)
-    except backend.LPError:
-        pass
-    return [v for row in lp.tab for v in row] + lp.rhs
-
-
 def _assert_matches_oracle(dim, rows):
     ok, x, s = backend.solve_slack_lp(dim, rows)
     _, best = oracle_feasible(rows, dim)
     assert ok == (best is not None) and s == best
 
 
+# Extreme data, decided by the integer dictionary alone and checked
+# against the oracle: entries beyond float range, products of entries
+# beyond it, and rows that are parallel only after rounding to floats.
 H = 10 ** 200  # products of two such entries overflow a float to inf
 BIG = 10 ** 400  # float() of this raises OverflowError
 
@@ -485,7 +471,6 @@ BIG = 10 ** 400  # float() of this raises OverflowError
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
 def test_float_overflow_falls_back(solve, dim, rows):
-    assert backend._farkas_support(dim, rows) is None
     assert solve(dim, rows)[1] == "exact"
     _assert_matches_oracle(dim, rows)
 
@@ -495,7 +480,6 @@ def test_float_overflow_falls_back(solve, dim, rows):
     (2, [((-H, 2), -1, 0), ((-1, 2 * H), -2, 0)]),  # nonempty
 ])
 def test_nonfinite_float_values_fall_back(dim, rows):
-    assert not all(math.isfinite(v) for v in _float_values(dim, rows))
     _assert_matches_oracle(dim, rows)
 
 
@@ -508,35 +492,15 @@ def test_oracle_box_follows_the_data():
 
 
 def test_nearly_parallel_rows_fall_back():
-    # 10**17 and 10**17 + 1 round to the same float, so the floats see two
-    # opposed parallel rows and propose both; exactly they are independent.
+    # 10**17 and 10**17 + 1 round to the same float, so as floats these
+    # rows are opposed and parallel; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._farkas_support(2, rows) == [0, 1]
     assert backend._opposed_pair(rows) is None and backend.farkas_weights(rows) is None
     _assert_matches_oracle(2, rows)
-    # Here the float ratio test finds no pivot row (an unbounded claim).
+    # Here a float ratio test finds no pivot row (an unbounded claim).
     rows = [((-100000001, 300000001, -1), -3, 0), ((-100000001, 299999999, -2), 1, 0),
             ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
             ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),
             ((-99999999, 300000000, 1), -3, 0), ((-100000002, -300000002, 1), 4, 0)]
-    assert backend._farkas_support(3, rows) is None
     _assert_matches_oracle(3, rows)
-
-
-def test_float_pivot_cap_falls_back(monkeypatch, solve):
-    monkeypatch.setattr(backend, "_FLOAT_PIVOTS", 0)
-    rng = random.Random(4881)
-    capped = feasible = 0
-    exits = Counter()
-    for _ in range(150):
-        rows = _random_rows(rng, 2, 4)
-        capped += backend._farkas_support(2, rows) is None and any(b < 0 for _, b, _ in rows)
-        _assert_matches_oracle(2, rows)
-        (ok, _, _), exit = solve(2, rows)
-        feasible += ok
-        exits[exit, ok] += 1
-    assert capped > 0 and feasible > 50
-    # no float proposal survives the cap: the empty LPs without a
-    # contradictory pair reach exact Phase I
-    assert exits["float", False] == 0 and exits["exact", False] > 10

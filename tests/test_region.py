@@ -173,9 +173,9 @@ def test_feasible_with_hint_agrees_with_feasible():
 ])
 def test_lp_feasible_empty_cell_falls_back(dim, cell):
     # The slack LP is feasible but its optimum is s = 0 on a strict row, so
-    # the floats propose no Farkas support and the exact simplex says empty.
+    # no opposed pair contradicts and the exact simplex says empty.
     rows = [c.row for c in cell]
-    assert backend._farkas_support(dim, rows) is None
+    assert backend._opposed_pair(rows) is None
     assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
     hint = (F(1),) * dim
     assert not contains_point(cell, hint)
