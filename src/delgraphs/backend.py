@@ -42,22 +42,22 @@ rhs_i*tab_re < rhs_r*tab_ie as both tab entries are positive, so every
 pivot and every answer is that of the same simplex over ``Fraction``
 values.
 
-Certified early exit: ``_opposed_pair`` names a Farkas support S, two
-rows with anti-parallel normals whose bounds contradict or one zero row
-0 <= b < 0, and ``farkas_weights`` alone decides it: integer y >= 0
-with y.A_S = 0 and y.b_S < 0 proves the LP infeasible, for any
-(x, s >= 0) would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s)
+Certified early exit: ``_opposed_pair`` names a Farkas certificate
+(S, y), two rows with anti-parallel normals whose bounds contradict or
+one zero row 0 <= b < 0, and ``farkas_certifies`` alone decides it:
+integer y >= 0 with y.A_S = 0 and y.b_S < 0 proves the LP infeasible,
+for any (x, s >= 0) would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s)
 <= y.b_S < 0, as sigma >= 0.  In the edge search every point's row for
 one shape edge has the same normal, so most empty cells are empty along
-one direction.  Every other LP goes to the simplex, whose Phase I
-decides the remaining empties and whose Phase II returns the optimizer,
-so the pair changes only the speed, never an answer.
+one direction.  A certificate the check rejects, and every other LP, go
+to the simplex, whose Phase I decides the remaining empties and whose
+Phase II returns the optimizer, so the pair changes only the speed,
+never an answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .rng import SplitMix64
@@ -159,10 +159,10 @@ class _Dictionary:
             del row[slot]
         return z
 
-    def phase_two(self, s_id):
-        """Phase II: maximize the slack s (variable ``s_id``) from the
-        feasible dictionary Phase I left, and return its optimum (its
-        numerator)."""
+    def phase_two(self):
+        """Phase II: maximize the slack s from the feasible dictionary
+        Phase I left, and return its optimum (its numerator)."""
+        s_id = len(self.nonbasic) - 1  # s, the last of the 2 * dim + 1 variables
         if s_id in self.basic:
             r = self.basic.index(s_id)
             self.tab.append(list(self.tab[r]))
@@ -174,50 +174,36 @@ class _Dictionary:
 
 
 def _opposed_pair(rows):
-    """The rows of the tightest opposed pair whose bounds contradict,
-    a.x <= b1 and -a.x <= b2 with b1 + b2 < 0 for a primitive normal a,
-    or of one zero row 0 <= b < 0; None when there is none."""
+    """The Farkas certificate (S, y) of the tightest opposed pair whose
+    bounds contradict, g1*n.x <= b1 and -g2*n.x <= b2 with g2*b1 + g1*b2
+    < 0 for a primitive normal n, y weighing the first row by g2 and the
+    second by g1, or of one zero row 0 <= b < 0, y = (1,); S in ascending
+    row order, y in the order of S; None when there is none."""
     least = {}  # primitive normal -> (b, g, row) with the least b / g
     for i, (a, b, _) in enumerate(rows):
         g = gcd(*a)
         if not g:
             if b < 0:
-                return [i]
+                return (i,), (1,)
             continue
         n = tuple([c // g for c in a])
         old = least.get(n)
         if old is None or b * old[1] < old[0] * g:
             least[n] = b, g, i
     for n, (b1, g1, i) in least.items():
-        other = least.get(tuple([-c for c in n]))
-        if other and b1 * other[1] + other[0] * g1 < 0:
-            return sorted((i, other[2]))
+        b2, g2, j = least.get(tuple([-c for c in n]), (0, 0, i))  # g2 = 0: no pair
+        if g2 * b1 + g1 * b2 < 0:
+            return ((i, j), (g2, g1)) if i < j else ((j, i), (g1, g2))
     return None
 
 
-def farkas_weights(rows):
-    """Integer y >= 0 with y.A = 0 and y.b < 0, proving that no (x, s >= 0)
-    meets a.x + sigma*s <= b on all ``rows`` (a, b, sigma >= 0).  None when
-    there is no such y or it is not unique up to scale (rank-deficient)."""
-    k = len(rows)
-    cols = [[a[j] for a, _, _ in rows] for j in range(len(rows[0][0]))]
-    # The null vector of k - 1 independent equations y.A[:, j] = 0 is the
-    # vector of their signed maximal minors.
-    minors = ([(-1) ** i * _det([c[:i] + c[i + 1:] for c in eqs]) for i in range(k)]
-              for eqs in combinations(cols, k - 1))
-    y = next(filter(any, minors), [0])  # y = 0 fails y.b < 0 below
-    if min(y) < 0:
-        y = [-v for v in y]
-    if (min(y) < 0 or any(sum(v * c for v, c in zip(y, col)) for col in cols)
-            or sum(v * b for v, (_, b, _) in zip(y, rows)) >= 0):
-        return None
-    return tuple(y)
-
-
-def _det(m):
-    """Determinant of a small square integer matrix (Laplace expansion)."""
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)) if m[0][j]) if m else 1
+def farkas_certifies(rows, support, y) -> bool:
+    """True iff y >= 0 over the rows ``support`` has y.b < 0 and y.A = 0,
+    which proves the LP infeasible (see the module docstring)."""
+    terms = [(v, rows[i]) for v, i in zip(y, support)]
+    return (min(y, default=0) >= 0 and sum(v * b for v, (_, b, _) in terms) < 0
+            and not any(sum(v * a[j] for v, (a, _, _) in terms)
+                        for j in range(len(rows[0][0]))))
 
 
 def solve_slack_lp(dim, rows):
@@ -227,13 +213,13 @@ def solve_slack_lp(dim, rows):
     Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
     (x, s) the exact Bland optimizer of a feasible LP.
     """
-    support = _opposed_pair(rows)
-    if support and farkas_weights([rows[i] for i in support]) is not None:
+    cert = _opposed_pair(rows)
+    if cert and farkas_certifies(rows, *cert):
         return False, None, None
     lp = _Dictionary(dim, rows)
     if lp.phase_one() < 0:
         return False, None, None
-    s = lp.phase_two(2 * dim)
+    s = lp.phase_two()
     val = dict(zip(lp.basic, lp.rhs))
     x = tuple(Fraction(val.get(j, 0) - val.get(dim + j, 0), lp.den) for j in range(dim))
     return True, x, Fraction(s, lp.den)

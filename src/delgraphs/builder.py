@@ -86,13 +86,19 @@ def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
     emit only a fresh solve of the leaf."""
     if not levels:
         return cell
-    for piece in levels[0]:
+    stack = [(cell, hint, iter(levels[0]))]  # one entry per level entered
+    while stack:
+        cell, hint, pieces = stack[-1]
+        piece = next(pieces, None)
+        if piece is None:
+            stack.pop()
+            continue
         sub = cell + piece
         probe = feasible_with_hint(dim, sub, hint)
         if probe is not None:
-            leaf = first_leaf(dim, sub, levels[1:], probe)
-            if leaf is not None:
-                return leaf
+            if len(stack) == len(levels):
+                return sub
+            stack.append((sub, probe, iter(levels[len(stack)])))
     return None
 
 

@@ -16,7 +16,8 @@ _PAD = Fraction(1, 5)  # 20% viewport padding
 
 
 def _fmt(v) -> str:
-    return f"{float(v):.6f}"
+    q = round(v * 10**6)  # exact on the rational, ties to even
+    return f"{'-' if q < 0 else ''}{abs(q) // 10**6}.{abs(q) % 10**6:06d}"
 
 
 def _viewport(points):

@@ -43,16 +43,15 @@ def _random_rows(rng, dim, base):
 @pytest.fixture
 def solve(monkeypatch):
     """``solve_slack_lp`` that also names the exit that decided it:
-    "pair" when ``farkas_weights`` certifies the opposed pair, otherwise
-    "exact", the exact simplex."""
+    "pair" when ``farkas_certifies`` accepts the opposed pair's
+    certificate, otherwise "exact", the exact simplex."""
     seen = {}
 
-    def certifying(rows, weights=backend.farkas_weights):
-        y = weights(rows)
-        seen["certified"] = y is not None
-        return y
+    def certifying(rows, support, y, check=backend.farkas_certifies):
+        seen["certified"] = check(rows, support, y)
+        return seen["certified"]
 
-    monkeypatch.setattr(backend, "farkas_weights", certifying)
+    monkeypatch.setattr(backend, "farkas_certifies", certifying)
 
     def run(dim, rows):
         seen.clear()
@@ -104,7 +103,7 @@ def _run_pinned(monkeypatch):
     pairs = []
     empties = []
     solve = backend.solve_slack_lp
-    weights = backend.farkas_weights
+    check = backend.farkas_certifies
     pair = backend._opposed_pair
     phase_one = backend._Dictionary.phase_one
 
@@ -119,17 +118,17 @@ def _run_pinned(monkeypatch):
         log.clear()
         return calls, digest
 
-    def counting(rows):
-        y = weights(rows)
-        if y is not None:
+    def counting(rows, support, y):
+        ok = check(rows, support, y)
+        if ok:
             certified.append(y)
-        return y
+        return ok
 
     def pairing(rows):
-        support = pair(rows)
-        if support:
-            pairs.append(support)
-        return support
+        cert = pair(rows)
+        if cert:
+            pairs.append(cert)
+        return cert
 
     def phasing(lp):
         z = phase_one(lp)
@@ -138,7 +137,7 @@ def _run_pinned(monkeypatch):
         return z
 
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
-    monkeypatch.setattr(backend, "farkas_weights", counting)
+    monkeypatch.setattr(backend, "farkas_certifies", counting)
     monkeypatch.setattr(backend, "_opposed_pair", pairing)
     monkeypatch.setattr(backend._Dictionary, "phase_one", phasing)
     for inst in PINNED_BUILDS:
@@ -162,22 +161,41 @@ def _feasible_subset(dim, rows):
     return [i for i, (_, b, _) in enumerate(rows) if b >= 0]  # x = 0, s = 0
 
 
-# Wrong proposals: none, every row, rows that x = 0 satisfies, random rows.
+def _ones(support):
+    return support, (1,) * len(support)
+
+
+def _true_support(wrong_y, pair=backend._opposed_pair):
+    """The opposed pair's support with y replaced by ``wrong_y(y)``."""
+    def propose(dim, rows):
+        cert = pair(rows)
+        return cert and (cert[0], wrong_y(cert[1]))
+    return propose
+
+
+# Wrong proposals: y all ones over no row, every row, rows that x = 0
+# satisfies or random rows; the true support with y negated or with one
+# weight zeroed, never a certificate.
 WRONG_PROPOSERS = {
-    "empty": lambda dim, rows: [],
-    "all-rows": lambda dim, rows: list(range(len(rows))),
-    "feasible-subset": _feasible_subset,
-    "shuffled-subset": lambda dim, rows: random.Random(len(rows)).sample(
-        range(len(rows)), min(dim + 1, len(rows))),
+    "empty": lambda dim, rows: _ones(()),
+    "all-rows": lambda dim, rows: _ones(range(len(rows))),
+    "feasible-subset": lambda dim, rows: _ones(_feasible_subset(dim, rows)),
+    "shuffled-subset": lambda dim, rows: _ones(random.Random(len(rows)).sample(
+        range(len(rows)), min(dim + 1, len(rows)))),
+    "negated-y": _true_support(lambda y: tuple(-v for v in y)),
+    "zeroed-weight": _true_support(lambda y: (0, *y[1:])),
 }
+ALWAYS_WRONG = {"negated-y", "zeroed-weight"}
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_pair_proposal_changes_no_answer(monkeypatch, name):
     wrong = WRONG_PROPOSERS[name]
     monkeypatch.setattr(backend, "_opposed_pair", lambda rows: wrong(len(rows[0][0]), rows))
-    pins, _, _, _ = _run_pinned(monkeypatch)
+    pins, certified, pairs, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
+    if name in ALWAYS_WRONG:
+        assert certified == 0 < pairs  # the check rejects every one
 
 
 def _contradictory_pairs(rows):
@@ -194,19 +212,21 @@ def _contradictory_pairs(rows):
 
 @pytest.mark.parametrize("dim, base, count", [(2, 4, 400), (3, 3, 150)])
 def test_opposed_pair_finds_every_contradictory_pair(dim, base, count):
-    """On the oracle test's LPs: a support that ``farkas_weights``
-    certifies exactly when a brute-force scan finds one."""
+    """On the oracle test's LPs: a certificate (S, y) exactly when a
+    brute-force scan finds a support, S one of those supports."""
     rng = random.Random(4881 + dim)
     found = 0
     for _ in range(count):
         rows = _random_rows(rng, dim, base)
-        support = backend._opposed_pair(rows)
+        cert = backend._opposed_pair(rows)
         if not (pairs := _contradictory_pairs(rows)):
-            assert support is None, rows
+            assert cert is None, rows
             continue
         found += 1
-        assert support in pairs
-        assert backend.farkas_weights([rows[i] for i in support]) is not None, rows
+        support, y = cert
+        assert list(support) in pairs
+        assert _is_certificate([rows[i] for i in support], y), rows
+        assert backend.farkas_certifies(rows, support, y), rows
     assert found > 20
 
 
@@ -214,7 +234,7 @@ def test_zero_normal_rows():
     """A zero row 0 <= b: with b < 0 a one-row support, else no
     constraint."""
     rows = [((0, 0), -1, 0)]
-    assert backend._opposed_pair(rows) == [0]
+    assert backend._opposed_pair(rows) == ((0,), (1,))
     assert backend.solve_slack_lp(2, rows) == (False, None, None)
     rows = [((0, 0), 0, 1)]
     assert backend._opposed_pair(rows) is None
@@ -355,8 +375,8 @@ def test_phases_match_the_dense_reference_after_pivots():
         if z < 0:
             continue
         appended["s"] += lp.den != 1
-        s = lp.phase_two(2 * dim)
-        assert Fraction(s, lp.den) == dense.phase_two(2 * dim), rows
+        s = lp.phase_two()
+        assert Fraction(s, lp.den) == dense.phase_two(), rows
         assert lp.den > 0 and _values(lp) == _values(dense)
     assert min(appended.values()) > 20
 
@@ -413,43 +433,76 @@ def _is_certificate(rows, y):
             and sum(v * b for v, (_, b, _) in zip(y, rows)) < 0)
 
 
+# expected: a certificate y over every row, and the exit that decides
+# the LP: two opposed rows and the rank-deficient rows leave by the pair
+# exit, a triangle or a simplex by exact Phase I
+RANK_DEFICIENT = [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)]
+
+
 @pytest.mark.parametrize("rows, expected", [
-    ([((1, 0), -1, 0), ((-1, 0), 0, 1)], (1, 1)),  # opposed: x <= -1, x >= 0
-    ([((2, 0), -1, 0), ((-3, 0), 0, 0)], (3, 2)),
-    ([((1, 0), 0, 1), ((0, 1), 0, 0), ((-1, -1), -1, 2)], (1, 1, 1)),
+    ([((1, 0), -1, 0), ((-1, 0), 0, 1)], ((1, 1), "pair")),  # opposed: x <= -1, x >= 0
+    ([((2, 0), -1, 0), ((-3, 0), 0, 0)], ((3, 2), "pair")),
+    ([((1, 0), 0, 1), ((0, 1), 0, 0), ((-1, -1), -1, 2)], ((1, 1, 1), "exact")),
     ([((1, 0, 0), 0, 0), ((0, 1, 0), 0, 1), ((0, 0, 1), 0, 0),
-      ((-1, -1, -1), -1, 1)], (1, 1, 1, 1)),
+      ((-1, -1, -1), -1, 1)], ((1, 1, 1, 1), "exact")),
+    # three parallel rows: y is not unique, (1, 1, 0) is one
+    (RANK_DEFICIENT, ((1, 1, 0), "pair")),
 ])
 def test_farkas_weights_accepts_a_true_certificate(solve, rows, expected):
-    y = backend.farkas_weights(rows)
-    assert y is not None and _is_certificate(rows, y)
-    assert all(v * expected[0] == e * y[0] for v, e in zip(y, expected))
-    # two opposed rows leave by the pair exit, a triangle or a simplex by exact Phase I
-    assert solve(len(rows[0][0]), rows) == ((False, None, None),
-                                            "pair" if len(rows) == 2 else "exact")
+    """``farkas_certifies`` accepts a known certificate."""
+    y, exit = expected
+    assert _is_certificate(rows, y)
+    assert backend.farkas_certifies(rows, range(len(rows)), y)
+    assert solve(len(rows[0][0]), rows) == ((False, None, None), exit)
 
 
-@pytest.mark.parametrize("rows", [
-    # the only y with y.A = 0 has a negative weight: (1, 1, -1)
-    [((1, 0), -1, 0), ((0, 1), -1, 0), ((1, 1), 5, 0)],
-    # independent rows: no y != 0 has y.A = 0
-    [((1, 0), -1, 0), ((0, 1), -1, 0)],
-    [((1, 0, 0), -1, 0), ((0, 1, 0), -1, 0), ((0, 0, 1), -1, 0), ((1, 1, 0), -1, 0)],
+# ids name the rows case alone, rows0 to rows5
+@pytest.mark.parametrize("rows, y", [
+    # y.A = 0 and y.b < 0, but a weight is negative
+    ([((1, 0), -1, 0), ((0, 1), -1, 0), ((1, 1), 5, 0)], (1, 1, -1)),
+    # independent rows: y.A != 0
+    ([((1, 0), -1, 0), ((0, 1), -1, 0)], (1, 1)),
+    ([((1, 0, 0), -1, 0), ((0, 1, 0), -1, 0), ((0, 0, 1), -1, 0), ((1, 1, 0), -1, 0)],
+     (1, 1, 1, 1)),
     # y.b >= 0: a slab and a plane, both nonempty
-    [((1, 0), 1, 0), ((-1, 0), 0, 0)],
-    [((1, 0), 0, 0), ((-1, 0), 0, 1)],
-    # rank-deficient: three parallel rows, y not unique (though infeasible)
-    [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)],
-])
-def test_farkas_weights_rejects(rows):
-    assert backend.farkas_weights(rows) is None
+    ([((1, 0), 1, 0), ((-1, 0), 0, 0)], (1, 1)),
+    ([((1, 0), 0, 0), ((-1, 0), 0, 1)], (1, 1)),
+    # y = 0 on infeasible rows: y.b = 0
+    (RANK_DEFICIENT, (0, 0, 0)),
+], ids=[f"rows{k}" for k in range(6)])
+def test_farkas_weights_rejects(rows, y):
+    """``farkas_certifies`` rejects a y that is not a certificate."""
+    assert not _is_certificate(rows, y)
+    assert not backend.farkas_certifies(rows, range(len(rows)), y)
+
+
+def test_farkas_certifies_matches_the_definition():
+    """Seeded random y over random supports of the oracle test's rows
+    against ``_is_certificate``; on half the rows with an opposed pair,
+    its certificate scaled, and half of those with one weight moved by 1."""
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(600):
+        dim = rng.choice((2, 3))
+        rows = _random_rows(rng, dim, 4)
+        support = rng.sample(range(len(rows)), rng.randint(1, min(3, len(rows))))
+        y = [rng.choice((-1, 0, 1, 1, 2, 3)) for _ in support]
+        if (cert := backend._opposed_pair(rows)) and rng.random() < 0.5:
+            k = rng.randint(1, 3)
+            support, y = cert[0], [k * v for v in cert[1]]
+            if rng.random() < 0.5:
+                y[rng.randrange(len(y))] += rng.choice((-1, 1))
+        want = _is_certificate([rows[i] for i in support], y)
+        assert backend.farkas_certifies(rows, support, y) == want, (rows, support, y)
+        verdicts.append(want)
+    assert sum(verdicts) > 30 and verdicts.count(False) > 300
 
 
 def test_opposed_pair_takes_the_tightest_pair(solve):
     """The rank-deficient rows above, x <= -1, x >= 0 and 2x <= -3, are
     decided by the tightest pair, x >= 0 and 2x <= -3."""
-    rows = [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)]
-    assert backend._opposed_pair(rows) == [1, 2]
+    rows = RANK_DEFICIENT
+    assert backend._opposed_pair(rows) == ((1, 2), (2, 1))
     assert solve(2, rows) == ((False, None, None), "pair")
 
 
@@ -496,7 +549,9 @@ def test_nearly_parallel_rows_fall_back():
     # rows are opposed and parallel; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._opposed_pair(rows) is None and backend.farkas_weights(rows) is None
+    assert backend._opposed_pair(rows) is None
+    # the y that cancels the first column leaves 1 in the second
+    assert not backend.farkas_certifies(rows, (0, 1), (big + 1, big))
     _assert_matches_oracle(2, rows)
     # Here a float ratio test finds no pivot row (an unbounded claim).
     rows = [((-100000001, 300000001, -1), -3, 0), ((-100000001, 299999999, -2), 1, 0),

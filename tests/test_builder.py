@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,15 @@ def test_edge_feasible_square_corners_homothet():
     assert edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 0, 1, HOMOTHET) is not None
     assert edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 0, 3, HOMOTHET) is None
     assert edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 1, 2, HOMOTHET) is None
+
+
+def test_edge_feasible_searches_deeper_than_the_recursion_limit():
+    """The pair 0, 1 and 1,098 far points: the DFS enters one level per
+    other point, more levels than Python's recursion limit."""
+    P = PointSet((point(0, 0), point(F(1, 2), 0), *(point(10 * k, 0) for k in range(2, 1100))))
+    assert len(P) > sys.getrecursionlimit()
+    w = edge_feasible(P, CLOSED_UNIT_SQUARE, 0, 1, TRANSLATE)
+    assert w is not None and verify_witness(P, CLOSED_UNIT_SQUARE, 0, 1, w)
 
 
 def test_edge_feasible_same_index_rejected():

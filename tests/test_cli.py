@@ -107,6 +107,16 @@ def test_build_svg_with_no_points(tmp_path, capsys):
     assert "<circle" not in sfile.read_text()
 
 
+def test_build_svg_beyond_float_range(tmp_path, capsys):
+    src = tmp_path / "far.dg"
+    src.write_text(f"mode translate\nshape 1\n0 1 1 closed\npoints 2\n0 0\n{10 ** 400} 0\n")
+    sfile = tmp_path / "g.svg"
+    assert main(["build", "--input", str(src), "--svg", str(sfile)]) == 0
+    assert capsys.readouterr().out == "0 1\n"
+    svg = sfile.read_text()
+    assert "<svg" in svg and f'cx="{10 ** 400}.000000"' in svg
+
+
 def test_verify_ok(capsys, good_file):
     assert main(["verify", "--input", good_file]) == 0
     out = capsys.readouterr().out

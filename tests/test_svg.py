@@ -3,7 +3,7 @@ from fractions import Fraction
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
 from delgraphs.geometry import point
 from delgraphs.shape import HOMOTHET, Placement, shape_from_rows
-from delgraphs.svgout import render_svg
+from delgraphs.svgout import _fmt, render_svg
 
 F = Fraction
 
@@ -61,3 +61,10 @@ def test_deterministic_output():
     P = PointSet((point(0, 0), point(F(5, 3), F(-7, 4))))
     g = build_graph(P, SQ, HOMOTHET)
     assert render_svg(g) == render_svg(g)
+
+
+def test_coordinates_round_on_the_exact_rational():
+    """Six decimals of the rational itself, with its sign, exact ties to
+    even."""
+    assert _fmt(F(-1, 3)) == "-0.333333" and _fmt(F(-2, 3)) == "-0.666667"
+    assert _fmt(F(1, 2 * 10 ** 6)) == "0.000000" and _fmt(F(3, 2 * 10 ** 6)) == "0.000002"
