@@ -42,23 +42,18 @@ rhs_i*tab_re < rhs_r*tab_ie as both tab entries are positive, so every
 pivot and every answer is that of the same simplex over ``Fraction``
 values.
 
-Certified early exit: ``_opposed_pair`` names a Farkas certificate
-(S, y), two rows with anti-parallel normals whose bounds contradict or
-one zero row 0 <= b < 0, and ``farkas_certifies`` alone decides it:
-integer y >= 0 with y.A_S = 0 and y.b_S < 0 proves the LP infeasible,
-for any (x, s >= 0) would give 0 <= s * y.sigma_S = y.(A_S x + sigma_S s)
-<= y.b_S < 0, as sigma >= 0.  In the edge search every point's row for
-one shape edge has the same normal, so most empty cells are empty along
-one direction.  A certificate the check rejects, and every other LP, go
-to the simplex, whose Phase I decides the remaining empties and whose
-Phase II returns the optimizer, so the pair changes only the speed,
-never an answer.
+Farkas certificates: integer y >= 0 over rows S with y.A_S = 0 and
+y.b_S < 0 prove the LP infeasible, for any (x, s >= 0) would give
+0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as sigma >= 0.
+``farkas_certifies`` checks one; the cell search proposes them from its
+opposed-pair table (``region.opposed_clash``) before any LP reaches the
+kernel, so ``solve_slack_lp`` is the simplex alone: Phase I decides every
+empty LP it is given and Phase II returns the optimizer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .rng import SplitMix64
 
@@ -173,30 +168,6 @@ class _Dictionary:
         return self.bland()
 
 
-def _opposed_pair(rows):
-    """The Farkas certificate (S, y) of the tightest opposed pair whose
-    bounds contradict, g1*n.x <= b1 and -g2*n.x <= b2 with g2*b1 + g1*b2
-    < 0 for a primitive normal n, y weighing the first row by g2 and the
-    second by g1, or of one zero row 0 <= b < 0, y = (1,); S in ascending
-    row order, y in the order of S; None when there is none."""
-    least = {}  # primitive normal -> (b, g, row) with the least b / g
-    for i, (a, b, _) in enumerate(rows):
-        g = gcd(*a)
-        if not g:
-            if b < 0:
-                return (i,), (1,)
-            continue
-        n = tuple([c // g for c in a])
-        old = least.get(n)
-        if old is None or b * old[1] < old[0] * g:
-            least[n] = b, g, i
-    for n, (b1, g1, i) in least.items():
-        b2, g2, j = least.get(tuple([-c for c in n]), (0, 0, i))  # g2 = 0: no pair
-        if g2 * b1 + g1 * b2 < 0:
-            return ((i, j), (g2, g1)) if i < j else ((j, i), (g1, g2))
-    return None
-
-
 def farkas_certifies(rows, support, y) -> bool:
     """True iff y >= 0 over the rows ``support`` has y.b < 0 and y.A = 0,
     which proves the LP infeasible (see the module docstring)."""
@@ -213,9 +184,6 @@ def solve_slack_lp(dim, rows):
     Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
     (x, s) the exact Bland optimizer of a feasible LP.
     """
-    cert = _opposed_pair(rows)
-    if cert and farkas_certifies(rows, *cert):
-        return False, None, None
     lp = _Dictionary(dim, rows)
     if lp.phase_one() < 0:
         return False, None, None

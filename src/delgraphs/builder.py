@@ -7,9 +7,11 @@ parameter space: the placements containing both endpoints form a convex
 region, each other point r carves out the convex "hole" of placements
 containing r, and the edge exists iff the base region minus all holes is
 nonempty.  Holes are cut away in ascending point order and the
-resulting disjoint cells are scanned in generation order, so the witness
-each edge carries is deterministic.  This search, ``first_leaf``, also
-runs the boundary test ``planarity.on_common_homothet_boundary``.
+resulting disjoint cells are scanned in generation order; each cell is
+tested only on the piece it adds to its parent, and the witness is a
+fresh solve of the first cell that survives, so it is deterministic.
+This search, ``first_leaf``, also runs the boundary test
+``planarity.on_common_homothet_boundary``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .backend import farkas_certifies
 from .geometry import Point2
-from .region import complement, feasible, feasible_with_hint
+from .region import complement, feasible, feasible_with_hint, opposed_clash
 from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                     Placement, contains, membership_constraints)
 
@@ -78,27 +81,43 @@ def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
     return mems, [complement(mem) for mem in mems]
 
 
-def first_leaf(dim: int, cell: tuple, levels, hint) -> tuple | None:
+def _pair_empties(table: dict, piece) -> bool:
+    """True iff entering ``piece`` into ``table`` finds an opposed pair
+    whose certificate ``farkas_certifies`` accepts, else the kernel decides."""
+    cert = opposed_clash(table, piece)
+    return cert is not None and farkas_certifies(*cert)
+
+
+def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
     """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
-    order, piece_l one of the constraint tuples of ``levels[l]``, or None;
-    each level reuses the point that proved its parent nonempty as hint.
-    The leaf's point may be such an inherited hint, not its optimizer:
-    emit only a fresh solve of the leaf."""
+    order, piece_l one of the constraint tuples of ``levels[l]``, or None.
+
+    A child's opposed-pair table (``region.opposed_clash``) is its nonempty
+    parent's with the piece's rows entered, so a pair that empties it needs
+    no LP; else the point that proved the parent nonempty is checked on the
+    piece's rows; else the kernel decides.  The base ``cell`` goes through
+    an empty table first.  The leaf's point may be an inherited hint, not
+    its optimizer: emit only a fresh solve of the leaf."""
+    table = {}
+    if _pair_empties(table, cell) or (hint := feasible(dim, cell)) is None:
+        return None
     if not levels:
         return cell
-    stack = [(cell, hint, iter(levels[0]))]  # one entry per level entered
+    stack = [(cell, table, hint, iter(levels[0]))]  # one entry per level entered
     while stack:
-        cell, hint, pieces = stack[-1]
+        cell, table, hint, pieces = stack[-1]
         piece = next(pieces, None)
         if piece is None:
             stack.pop()
             continue
+        if _pair_empties(sub_table := dict(table), piece):
+            continue
         sub = cell + piece
-        probe = feasible_with_hint(dim, sub, hint)
+        probe = feasible_with_hint(dim, sub, piece, hint)
         if probe is not None:
             if len(stack) == len(levels):
                 return sub
-            stack.append((sub, probe, iter(levels[len(stack)])))
+            stack.append((sub, sub_table, probe, iter(levels[len(stack)])))
     return None
 
 
@@ -111,11 +130,8 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     if mode == HOMOTHET:
         base += (POSITIVE_SCALE,)
         dim = 3
-    x = feasible(dim, base)  # decides and seeds the first hint
-    if x is None:
-        return None
     levels = [outside[k] for k in range(len(mems)) if k != i and k != j]
-    leaf = first_leaf(dim, base, levels, x)
+    leaf = first_leaf(dim, base, levels)
     if leaf is None:
         return None
     final = feasible(dim, leaf)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .geometry import (Point2, Segment, convex_hull, on_closed_segment,
                        orient, scale_to_integers)
-from .region import LinearConstraint, feasible
+from .region import LinearConstraint, feasible  # noqa: F401  (bench/tracing.py wraps feasible)
 from .builder import GeometricGraph, first_leaf
 from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
 
@@ -195,8 +195,7 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     if not all(allowed):
         return False
     base = (POSITIVE_SCALE, *(c for m in mems for c in m))
-    x = feasible(3, base)
-    return x is not None and first_leaf(3, base, allowed, x) is not None
+    return first_leaf(3, base, allowed) is not None
 
 
 def find_boundary_degeneracy(points, shape: ConvexShape) -> tuple[int, ...] | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from . import backend
 from .geometry import clear_denominators
@@ -42,6 +43,15 @@ class LinearConstraint:
         clearing factor, sigma that factor on strict rows and 0 otherwise."""
         ints, scale = clear_denominators(self.coeffs + (self.bound,))
         return ints[:-1], ints[-1], scale if self.strict else 0
+
+    @cached_property
+    def pair_key(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """(n, -n, b, g) for ``row`` read as g*n.x <= b, n primitive: the
+        keys of the opposed-pair table (``opposed_clash``)."""
+        a, b, _ = self.row
+        g = gcd(*a)
+        n = tuple([c // g for c in a])
+        return n, tuple([-c for c in n]), b, g
 
 
 def constraint(coeffs, bound, strict=False) -> LinearConstraint:
@@ -84,9 +94,34 @@ def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
     return x
 
 
-def feasible_with_hint(dim: int, constraints, hint) -> tuple[Fraction, ...] | None:
-    """The candidate point ``hint`` when it lies in the cell, which
-    certifies nonemptiness without a solve; otherwise ``feasible()``."""
-    if contains_point(constraints, hint):
+def opposed_clash(table: dict, piece):
+    """Enter the rows of ``piece`` into ``table`` and return the first
+    opposed pair that empties the cell, as the Farkas certificate
+    (rows, support, y) for ``backend.farkas_certifies``, or None.
+
+    ``table`` maps each primitive normal n to (b, g, c): of the rows
+    entered, c, g*n.x <= b, has the least b/g, strict at a tie, so it
+    implies the others and the table's rows cut out the same cell.  Rows
+    g1*n.x <= b1 and -g2*n.x <= b2 with g2*b1 + g1*b2 < 0 contradict, with
+    y = (g2, g1) (Schrijver 1986, section 7), and only if the tightest rows
+    of n and -n do; so if the table held no such pair, checking each new
+    row against the tightest opposite finds any the piece brings.  In the
+    edge search every point's row for one side of the shape has the same
+    normal, so most empty cells are empty along one direction."""
+    for c in piece:
+        n, opposite, b, g = c.pair_key
+        old = table.get(n)
+        if old is None or (d := b * old[1] - old[0] * g) < 0 or (d == 0 and c.strict):
+            table[n] = b, g, c
+        if (o := table.get(opposite)) and o[1] * b + g * o[0] < 0:
+            return (c.row, o[2].row), (0, 1), (o[1], g)
+    return None
+
+
+def feasible_with_hint(dim: int, cell, piece, hint) -> tuple[Fraction, ...] | None:
+    """``hint``, a point of the cell that ``piece`` extends to ``cell``, if
+    it lies in ``piece`` too, as then it lies in ``cell``; otherwise
+    ``feasible(dim, cell)``."""
+    if contains_point(piece, hint):
         return hint
-    return feasible(dim, constraints)
+    return feasible(dim, cell)

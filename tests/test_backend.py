@@ -1,6 +1,6 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
-certified early exit for infeasible LPs (an opposed-pair proposal may
+search's certified opposed-pair exit for empty cells (a proposal may
 change the speed, never an answer), exact Phase I on the empty LPs no
 pair decides, extreme data against the oracle, witnesses that do not
 depend on the points the DFS probes return, and the fraction-free
@@ -40,23 +40,22 @@ def _random_rows(rng, dim, base):
     return rows
 
 
+def _clash(rows):
+    """The opposed-pair table's clash over the rows as constraints; zero
+    rows are left out, as no cell holds one."""
+    return region.opposed_clash({}, [region.constraint(a, b, sigma > 0)
+                                     for a, b, sigma in rows if any(a)])
+
+
 @pytest.fixture
-def solve(monkeypatch):
-    """``solve_slack_lp`` that also names the exit that decided it:
-    "pair" when ``farkas_certifies`` accepts the opposed pair's
-    certificate, otherwise "exact", the exact simplex."""
-    seen = {}
-
-    def certifying(rows, support, y, check=backend.farkas_certifies):
-        seen["certified"] = check(rows, support, y)
-        return seen["certified"]
-
-    monkeypatch.setattr(backend, "farkas_certifies", certifying)
-
+def solve():
+    """``solve_slack_lp``, the simplex alone, with the exit that decides
+    the rows in the cell search: "pair" when the opposed-pair table finds
+    a clash ``farkas_certifies`` accepts, otherwise "exact", the kernel."""
     def run(dim, rows):
-        seen.clear()
-        answer = backend.solve_slack_lp(dim, rows)
-        return answer, "pair" if seen.get("certified") else "exact"
+        cert = _clash(rows)
+        exit = "pair" if cert and backend.farkas_certifies(*cert) else "exact"
+        return backend.solve_slack_lp(dim, rows), exit
     return run
 
 
@@ -77,34 +76,42 @@ def test_optimum_matches_bruteforce_oracle(dim, base, count):
             assert sum(c * v for c, v in zip(a, x)) + sigma * s <= b, (rows, x, s)
 
 
-# Between them these runs reach every branch of the kernel: the pair
-# exit, exact Phase I ending infeasible (the empty LPs no opposed pair
-# decides, whose Farkas support has three or more rows), no Phase I, the
-# auxiliary variable still basic after Phase I, and s basic when Phase II
-# starts.  The boundary scan makes 3-D LPs with equality pairs, where the
-# auxiliary variable most often stays basic.
+# Between them these runs reach every branch of the search and the
+# kernel: the pair exit, exact Phase I ending infeasible (the empty LPs no
+# opposed pair decides, whose Farkas support has three or more rows), no
+# Phase I, the auxiliary variable still basic after Phase I, and s basic
+# when Phase II starts.  The boundary scan makes 3-D LPs with equality
+# pairs, where the auxiliary variable most often stays basic.
 PINNED_BUILDS = [generate_instance(seed, 6, 5, TRANSLATE, Fraction(1, 3))
                  for seed in (2, 13, 19, 22, 23)]
 PINNED_BUILDS.append(generate_bounded_instance(116, 5, 6, TRANSLATE))
 PINNED_BOUNDARY = generate_bounded_instance(7036, 6, 4, HOMOTHET)
-# (calls, SHA-256 of every call and answer) of the builds and of the
-# boundary scan, pinned apart: a change to one search shows in one pin
+# (calls, SHA-256 of every kernel call and answer) of the builds and of
+# the boundary scan, pinned apart: a change to one search shows in one pin
 PINNED = {
-    "builds": (1303, "f87517f9b0789155be8377b8a6add311df9c24795826adc0664be1600dd8f035"),
+    "builds": (398, "a7774f4909aff3eebbc5611d1a4d50283b41826cf54ecd0e3c97cff23b7ebf11"),
     "boundary": (10, "1b11ea41a29a2b5ae8ebdd27c1854dca346bc6ff35fd4ddbb8c0da7ccc37275a"),
 }
+# The builds pin when no clash is certified: every cell then reaches the
+# kernel, whose simplex finds the 905 cells the pair exit empties empty.
+# PINNED["builds"] is this log with those 905 calls left out.
+UNPRUNED = {**PINNED, "builds": (
+    1303, "f87517f9b0789155be8377b8a6add311df9c24795826adc0664be1600dd8f035")}
 
 
 def _run_pinned(monkeypatch):
-    """({pin: (calls, SHA-256)}, certified exits, pair exits, exact Phase I
-    infeasible) over the pinned builds and boundary scan."""
+    """({pin: (calls, SHA-256)}, certified exits, proposed clashes, exact
+    Phase I infeasible, the builds' edges) over the pinned builds and
+    boundary scan.  Every certificate the search checks is accepted iff it
+    is one."""
     log = []
     certified = []
     pairs = []
     empties = []
+    edges = []
     solve = backend.solve_slack_lp
-    check = backend.farkas_certifies
-    pair = backend._opposed_pair
+    check = builder.farkas_certifies
+    pair = builder.opposed_clash
     phase_one = backend._Dictionary.phase_one
 
     def recording(dim, rows):
@@ -120,12 +127,13 @@ def _run_pinned(monkeypatch):
 
     def counting(rows, support, y):
         ok = check(rows, support, y)
+        assert ok == (len(y) > 0 and _is_certificate([rows[i] for i in support], y))
         if ok:
             certified.append(y)
         return ok
 
-    def pairing(rows):
-        cert = pair(rows)
+    def pairing(table, piece):
+        cert = pair(table, piece)
         if cert:
             pairs.append(cert)
         return cert
@@ -137,65 +145,73 @@ def _run_pinned(monkeypatch):
         return z
 
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
-    monkeypatch.setattr(backend, "farkas_certifies", counting)
-    monkeypatch.setattr(backend, "_opposed_pair", pairing)
+    monkeypatch.setattr(builder, "farkas_certifies", counting)
+    monkeypatch.setattr(builder, "opposed_clash", pairing)
     monkeypatch.setattr(backend._Dictionary, "phase_one", phasing)
     for inst in PINNED_BUILDS:
         for mode in MODES:
-            build_graph(inst.points, inst.shape, mode)
+            edges.append(build_graph(inst.points, inst.shape, mode).edges)
     pins = {"builds": pin()}
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
     pins["boundary"] = pin()
-    return pins, len(certified), len(pairs), len(empties)
+    return pins, len(certified), len(pairs), len(empties), edges
 
 
 def test_kernel_answers_are_pinned(monkeypatch):
-    pins, certified, pairs, empties = _run_pinned(monkeypatch)
+    pins, certified, pairs, empties, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
     assert certified == pairs > 0  # every proposed pair here is certified
     assert empties > 0  # and exact Phase I decides the empty LPs no pair does
 
 
-def _feasible_subset(dim, rows):
+def _feasible_subset(rows):
     return [i for i, (_, b, _) in enumerate(rows) if b >= 0]  # x = 0, s = 0
 
 
-def _ones(support):
-    return support, (1,) * len(support)
+def _ones(rows, support):
+    return rows, support, (1,) * len(support)
 
 
-def _true_support(wrong_y, pair=backend._opposed_pair):
-    """The opposed pair's support with y replaced by ``wrong_y(y)``."""
-    def propose(dim, rows):
-        cert = pair(rows)
-        return cert and (cert[0], wrong_y(cert[1]))
+def _true_support(wrong_y):
+    """The true clash's rows and support with y replaced by ``wrong_y(y)``."""
+    def propose(rows, cert):
+        return cert and (*cert[:2], wrong_y(cert[2]))
     return propose
 
 
-# Wrong proposals: y all ones over no row, every row, rows that x = 0
-# satisfies or random rows; the true support with y negated or with one
-# weight zeroed, never a certificate.
+# Wrong proposals over the rows of the table and the piece: y all ones
+# over no row, every row, rows that x = 0 satisfies or random rows; the
+# true clash with y negated or with one weight zeroed.  None is a
+# certificate on the pinned runs.
 WRONG_PROPOSERS = {
-    "empty": lambda dim, rows: _ones(()),
-    "all-rows": lambda dim, rows: _ones(range(len(rows))),
-    "feasible-subset": lambda dim, rows: _ones(_feasible_subset(dim, rows)),
-    "shuffled-subset": lambda dim, rows: _ones(random.Random(len(rows)).sample(
-        range(len(rows)), min(dim + 1, len(rows)))),
+    "empty": lambda rows, cert: _ones(rows, ()),
+    "all-rows": lambda rows, cert: _ones(rows, range(len(rows))),
+    "feasible-subset": lambda rows, cert: _ones(rows, _feasible_subset(rows)),
+    "shuffled-subset": lambda rows, cert: _ones(rows, random.Random(len(rows)).sample(
+        range(len(rows)), min(len(rows[0][0]) + 1, len(rows)))),
     "negated-y": _true_support(lambda y: tuple(-v for v in y)),
     "zeroed-weight": _true_support(lambda y: (0, *y[1:])),
 }
-ALWAYS_WRONG = {"negated-y", "zeroed-weight"}
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_PROPOSERS))
 def test_pair_proposal_changes_no_answer(monkeypatch, name):
+    """The search's clash test enters the piece as usual but proposes a
+    wrong certificate: the check rejects it, the kernel decides the cell,
+    and the edges and witnesses stay the same."""
     wrong = WRONG_PROPOSERS[name]
-    monkeypatch.setattr(backend, "_opposed_pair", lambda rows: wrong(len(rows[0][0]), rows))
-    pins, certified, pairs, _ = _run_pinned(monkeypatch)
-    assert pins == PINNED
-    if name in ALWAYS_WRONG:
-        assert certified == 0 < pairs  # the check rejects every one
+
+    def proposing(table, piece):
+        cert = region.opposed_clash(table, piece)
+        rows = [c.row for c in piece] + [c.row for _, _, c in table.values()]
+        return wrong(rows, cert)
+
+    monkeypatch.setattr(builder, "opposed_clash", proposing)
+    pins, certified, pairs, _, edges = _run_pinned(monkeypatch)
+    assert certified == 0 < pairs  # the check rejects every one
+    assert pins == UNPRUNED  # so every cell reaches the kernel
+    assert edges == _witness_edges()[:len(edges)]
 
 
 def _contradictory_pairs(rows):
@@ -212,32 +228,33 @@ def _contradictory_pairs(rows):
 
 @pytest.mark.parametrize("dim, base, count", [(2, 4, 400), (3, 3, 150)])
 def test_opposed_pair_finds_every_contradictory_pair(dim, base, count):
-    """On the oracle test's LPs: a certificate (S, y) exactly when a
-    brute-force scan finds a support, S one of those supports."""
+    """On the oracle test's LPs without their zero rows, entered into an
+    empty table: a clash exactly when a brute-force scan finds a
+    support, the clash's rows those of one support."""
     rng = random.Random(4881 + dim)
     found = 0
     for _ in range(count):
-        rows = _random_rows(rng, dim, base)
-        cert = backend._opposed_pair(rows)
+        rows = [row for row in _random_rows(rng, dim, base) if any(row[0])]
+        cert = _clash(rows)
         if not (pairs := _contradictory_pairs(rows)):
             assert cert is None, rows
             continue
         found += 1
-        support, y = cert
-        assert list(support) in pairs
-        assert _is_certificate([rows[i] for i in support], y), rows
-        assert backend.farkas_certifies(rows, support, y), rows
+        clash_rows, support, y = cert
+        assert sorted(r[:2] for r in clash_rows) in [
+            sorted(rows[i][:2] for i in pair) for pair in pairs]
+        assert _is_certificate(clash_rows, y), rows
+        assert backend.farkas_certifies(*cert), rows
     assert found > 20
 
 
 def test_zero_normal_rows():
-    """A zero row 0 <= b: with b < 0 a one-row support, else no
-    constraint."""
+    """A zero row 0 <= b, which no cell holds but the kernel takes: with
+    b < 0 Phase I finds it empty, else it is no constraint."""
     rows = [((0, 0), -1, 0)]
-    assert backend._opposed_pair(rows) == ((0,), (1,))
+    assert backend.farkas_certifies(rows, (0,), (1,))
     assert backend.solve_slack_lp(2, rows) == (False, None, None)
     rows = [((0, 0), 0, 1)]
-    assert backend._opposed_pair(rows) is None
     assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 0)
 
 
@@ -273,8 +290,8 @@ def test_other_points_change_no_witness(monkeypatch, name):
     probe = builder.feasible_with_hint
     seen = []
 
-    def replaced(dim, cs, hint):
-        point = probe(dim, cs, hint)
+    def replaced(dim, cs, piece, hint):
+        point = probe(dim, cs, piece, hint)
         if point is None:
             return None
         other = OTHER_POINTS[name](dim, cs)
@@ -487,9 +504,9 @@ def test_farkas_certifies_matches_the_definition():
         rows = _random_rows(rng, dim, 4)
         support = rng.sample(range(len(rows)), rng.randint(1, min(3, len(rows))))
         y = [rng.choice((-1, 0, 1, 1, 2, 3)) for _ in support]
-        if (cert := backend._opposed_pair(rows)) and rng.random() < 0.5:
+        if (cert := _clash(rows)) and rng.random() < 0.5:
             k = rng.randint(1, 3)
-            support, y = cert[0], [k * v for v in cert[1]]
+            rows, support, y = cert[0], cert[1], [k * v for v in cert[2]]
             if rng.random() < 0.5:
                 y[rng.randrange(len(y))] += rng.choice((-1, 1))
         want = _is_certificate([rows[i] for i in support], y)
@@ -499,11 +516,16 @@ def test_farkas_certifies_matches_the_definition():
 
 
 def test_opposed_pair_takes_the_tightest_pair(solve):
-    """The rank-deficient rows above, x <= -1, x >= 0 and 2x <= -3, are
-    decided by the tightest pair, x >= 0 and 2x <= -3."""
-    rows = RANK_DEFICIENT
-    assert backend._opposed_pair(rows) == ((1, 2), (2, 1))
-    assert solve(2, rows) == ((False, None, None), "pair")
+    """The rank-deficient rows above, x <= -1, x >= 0 and 2x <= -3: the
+    table keeps 2x <= -3 for the normal (1, 0), so x >= 0 clashes with
+    that tightest row."""
+    low, nonnegative, lower = (region.constraint(a, b) for a, b, _ in RANK_DEFICIENT)
+    table = {}
+    assert region.opposed_clash(table, (low, lower)) is None
+    assert table[(1, 0)][2] is lower
+    assert region.opposed_clash(table, (nonnegative,)) == (
+        (nonnegative.row, lower.row), (0, 1), (2, 1))
+    assert solve(2, RANK_DEFICIENT) == ((False, None, None), "pair")
 
 
 def _assert_matches_oracle(dim, rows):
@@ -549,7 +571,7 @@ def test_nearly_parallel_rows_fall_back():
     # rows are opposed and parallel; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
-    assert backend._opposed_pair(rows) is None
+    assert _clash(rows) is None
     # the y that cancels the first column leaves 1 in the second
     assert not backend.farkas_certifies(rows, (0, 1), (big + 1, big))
     _assert_matches_oracle(2, rows)

@@ -1,16 +1,18 @@
 import dataclasses
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from delgraphs import builder
+from delgraphs import builder, planarity, region
 from delgraphs.builder import (Edge, GeometricGraph, PointSet,
                                WitnessVerificationError, build_graph,
                                edge_feasible, is_subgraph, verify_witness)
 from delgraphs.geometry import point
-from delgraphs.instances import generate_instance, sampled_edges
+from delgraphs.instances import generate_bounded_instance, generate_instance, sampled_edges
+from delgraphs.planarity import find_boundary_degeneracy
 from delgraphs.shape import HOMOTHET, TRANSLATE, Placement, contains, shape_from_rows
 from oracle_closed_form import closed_form_applies, closed_form_edges
 
@@ -51,13 +53,34 @@ def test_edge_feasible_square_corners_homothet():
     assert edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 1, 2, HOMOTHET) is None
 
 
+# the pair 0, 1 and 1,098 far points on a row
+FAR_ROW = PointSet((point(0, 0), point(F(1, 2), 0), *(point(10 * k, 0) for k in range(2, 1100))))
+
+
 def test_edge_feasible_searches_deeper_than_the_recursion_limit():
-    """The pair 0, 1 and 1,098 far points: the DFS enters one level per
-    other point, more levels than Python's recursion limit."""
-    P = PointSet((point(0, 0), point(F(1, 2), 0), *(point(10 * k, 0) for k in range(2, 1100))))
+    """The DFS enters one level per other point, more levels than
+    Python's recursion limit."""
+    P = FAR_ROW
     assert len(P) > sys.getrecursionlimit()
     w = edge_feasible(P, CLOSED_UNIT_SQUARE, 0, 1, TRANSLATE)
     assert w is not None and verify_witness(P, CLOSED_UNIT_SQUARE, 0, 1, w)
+
+
+def test_hint_checks_read_rows_linear_in_n(monkeypatch):
+    """Each level checks its hint against the piece it adds, not the
+    whole cell, so the rows read grow linearly with the points (a check
+    of every row of each cell reads about 612k here)."""
+    read = []
+    check = region.contains_point
+
+    def counting(cs, x):
+        read.append(len(cs))
+        return check(cs, x)
+
+    monkeypatch.setattr(region, "contains_point", counting)
+    assert edge_feasible(FAR_ROW, CLOSED_UNIT_SQUARE, 0, 1, TRANSLATE) is not None
+    assert len(read) == len(FAR_ROW) - 2  # one hint check per level
+    assert sum(read) <= 4 * len(FAR_ROW)
 
 
 def test_edge_feasible_same_index_rejected():
@@ -285,3 +308,74 @@ def test_graphs_are_invariant_under_moving_the_shape():
         nonempty += bool(want[HOMOTHET]) + bool(want[TRANSLATE])
         scaled += edges(mu, TRANSLATE) != want[TRANSLATE]
     assert nonempty > 16 and scaled > 1
+
+
+def _kernel_pair(cs) -> bool:
+    """The opposed-pair exit as the kernel took it on the whole cell: the
+    tightest rows of some normal and of its opposite contradict."""
+    least = {}
+    for c in cs:
+        a, b, _ = c.row
+        g = math.gcd(*a)
+        n = tuple(v // g for v in a)
+        if n not in least or b * least[n][1] < least[n][0] * g:
+            least[n] = b, g
+    return any(g2 * b1 + g1 * b2 < 0 for n, (b1, g1) in least.items()
+               for b2, g2 in [least.get(tuple(-v for v in n), (0, 0))])
+
+
+def _whole_cell_feasible(dim, cs):
+    return None if _kernel_pair(cs) else region.feasible(dim, cs)
+
+
+def _whole_cell_first_leaf(dim, cell, levels):
+    """The search that hands every cell whole to the kernel: the hint
+    checked against every row of the child, then the pair exit on every
+    row, then the simplex."""
+    hint = _whole_cell_feasible(dim, cell)
+    if hint is None:
+        return None
+    if not levels:
+        return cell
+    stack = [(cell, hint, iter(levels[0]))]
+    while stack:
+        cell, hint, pieces = stack[-1]
+        piece = next(pieces, None)
+        if piece is None:
+            stack.pop()
+            continue
+        sub = cell + piece
+        probe = hint if region.contains_point(sub, hint) else _whole_cell_feasible(dim, sub)
+        if probe is not None:
+            if len(stack) == len(levels):
+                return sub
+            stack.append((sub, probe, iter(levels[len(stack)])))
+    return None
+
+
+def _search_answers():
+    edges = []
+    for seed in range(60):
+        inst = generate_instance(300 + seed, 3 + seed % 6, 1 + seed % 7, TRANSLATE,
+                                 (F(0), F(1, 4), F(1))[seed % 3])
+        for mode in (TRANSLATE, HOMOTHET):
+            edges.append(build_graph(inst.points, inst.shape, mode).edges)
+    inst = generate_bounded_instance(116, 16, 6, TRANSLATE)
+    for mode in (TRANSLATE, HOMOTHET):
+        edges.append(build_graph(inst.points, inst.shape, mode).edges)
+    quads = [find_boundary_degeneracy(inst.points.points, inst.shape)
+             for inst in (generate_bounded_instance(7000 + seed, 6, 4, HOMOTHET)
+                          for seed in range(20))]
+    return edges, quads
+
+
+def test_search_matches_the_whole_cell_search(monkeypatch):
+    """The per-level table and the hint check on the piece against the
+    search that hands each cell whole to the kernel: the same edges and
+    witnesses on 60 fuzz instances in both modes and on the n = 16
+    bounded build, and the same boundary quadruples."""
+    edges, quads = _search_answers()
+    assert sum(map(len, edges)) > 400 and 0 < quads.count(None) < len(quads)
+    monkeypatch.setattr(builder, "first_leaf", _whole_cell_first_leaf)
+    monkeypatch.setattr(planarity, "first_leaf", _whole_cell_first_leaf)
+    assert _search_answers() == (edges, quads)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from delgraphs import backend
 from delgraphs.region import (LinearConstraint, complement, constraint,
                               contains_point, feasible, feasible_with_hint,
-                              negate)
+                              negate, opposed_clash)
 from oracle_lp import oracle_feasible
 
 F = Fraction
@@ -147,17 +147,22 @@ def test_bad_dimension_rejected():
 
 
 def test_feasible_with_hint_agrees_with_feasible():
+    """A cell is a parent plus a piece, the hint a point of the parent;
+    only the piece's rows are checked against it."""
     rng = random.Random(321)
     for _ in range(200):
         cons = []
-        for _ in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(2, 7)):
             a = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
             if not any(a):
                 a = (F(1), F(1))
             cons.append(LinearConstraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
-        cell = tuple(cons)
         hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
-        point = feasible_with_hint(2, cell, hint)
+        cut = rng.randint(0, len(cons) - 1)
+        parent = tuple(c for c in cons[:cut] if c.satisfied_by(hint))
+        piece = tuple(cons[cut:])
+        cell = parent + piece
+        point = feasible_with_hint(2, cell, piece, hint)
         if contains_point(cell, hint):
             assert point == hint
         else:  # a hint outside the cell returns exactly feasible()'s answer
@@ -175,8 +180,63 @@ def test_lp_feasible_empty_cell_falls_back(dim, cell):
     # The slack LP is feasible but its optimum is s = 0 on a strict row, so
     # no opposed pair contradicts and the exact simplex says empty.
     rows = [c.row for c in cell]
-    assert backend._opposed_pair(rows) is None
+    assert opposed_clash({}, cell) is None
     assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
     hint = (F(1),) * dim
     assert not contains_point(cell, hint)
-    assert feasible_with_hint(dim, cell, hint) is None
+    assert feasible_with_hint(dim, cell, cell, hint) is None  # the parent is Q^dim
+
+
+def _parallel_rows(rng, count):
+    """Integer constraints over few normals, with ties between closed and
+    strict rows and opposed rows, the cases the table decides."""
+    normals = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+    cs = []
+    for _ in range(count):
+        a = rng.choice(normals) or (1, 0)
+        if not any(a):
+            a = (1, 0)
+        k = rng.choice((1, 1, 2, -1))
+        cs.append(constraint((k * a[0], k * a[1]), rng.randint(-3, 3), rng.random() < 0.5))
+    return cs
+
+
+def _points_on_and_off(rng, cs):
+    """Random rational points, and points on the boundary line of each
+    row, where a strict row and a closed one differ."""
+    for _ in range(10):
+        yield F(rng.randint(-8, 8), rng.randint(1, 3)), F(rng.randint(-8, 8), rng.randint(1, 3))
+    for c in cs:
+        (a0, a1), b = c.coeffs, c.bound
+        u = F(rng.randint(-8, 8), rng.randint(1, 3))
+        yield ((b - a1 * u) / a0, u) if a0 else (u, (b - a0 * u) / a1)
+
+
+def test_opposed_pair_table_cuts_out_the_same_cell():
+    """The table's rows, one per normal, and all the rows entered hold the
+    same points; a clash it reports is an empty cell, by the oracle, and
+    a certificate ``farkas_certifies`` accepts."""
+    rng = random.Random(21)
+    clashes = kept = 0
+    for _ in range(400):
+        cs = _parallel_rows(rng, rng.randint(1, 6))
+        table = {}
+        cert = opposed_clash(table, cs)
+        if cert is not None:
+            clashes += 1
+            assert oracle_feasible([c.row for c in cs]) == (False, None), cs
+            assert backend.farkas_certifies(*cert), cs
+            continue
+        rows = tuple(c for _, _, c in table.values())
+        kept += len(rows) < len(cs)
+        for x in _points_on_and_off(rng, cs):
+            assert contains_point(rows, x) == contains_point(cs, x), (cs, x)
+    assert clashes > 50 and kept > 100
+
+
+@pytest.mark.parametrize("order", ["closed-first", "strict-first"])
+def test_opposed_pair_table_keeps_the_strict_row_at_a_tie(order):
+    closed, strict = constraint((2, 0), 2), constraint((1, 0), 1, True)
+    table = {}
+    assert opposed_clash(table, (closed, strict)[::1 if order == "closed-first" else -1]) is None
+    assert table == {(1, 0): (1, 1, strict)}
