@@ -171,10 +171,12 @@ class _Dictionary:
 def farkas_certifies(rows, support, y) -> bool:
     """True iff y >= 0 over the rows ``support`` has y.b < 0 and y.A = 0,
     which proves the LP infeasible (see the module docstring)."""
-    terms = [(v, rows[i]) for v, i in zip(y, support)]
-    return (min(y, default=0) >= 0 and sum(v * b for v, (_, b, _) in terms) < 0
-            and not any(sum(v * a[j] for v, (a, _, _) in terms)
-                        for j in range(len(rows[0][0]))))
+    weighted = [(v * b, *[v * c for c in a])
+                for v, (a, b, _) in zip(y, [rows[i] for i in support])]
+    if not weighted or min(y) < 0:
+        return False
+    yb, *ya = map(sum, zip(*weighted))
+    return yb < 0 and not any(ya)
 
 
 def solve_slack_lp(dim, rows):

@@ -8,8 +8,10 @@ region, each other point r carves out the convex "hole" of placements
 containing r, and the edge exists iff the base region minus all holes is
 nonempty.  Holes are cut away in ascending point order and the
 resulting disjoint cells are scanned in generation order; each cell is
-tested only on the piece it adds to its parent, and the witness is a
-fresh solve of the first cell that survives, so it is deterministic.
+tested only on the piece it adds to its parent, and the kernel decides
+it on the reduced cell, one row per primitive normal.  Only the witness
+solve sees the whole leaf: it is a fresh solve of the first cell that
+survives, so it is deterministic.
 This search, ``first_leaf``, also runs the boundary test
 ``planarity.on_common_homothet_boundary``.
 """
@@ -88,6 +90,11 @@ def _pair_empties(table: dict, piece) -> bool:
     return cert is not None and farkas_certifies(*cert)
 
 
+def _reduced(table: dict) -> tuple:
+    """The table's rows, one per primitive normal: the same cell."""
+    return tuple([c for _, _, c in table.values()])
+
+
 def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
     """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
     order, piece_l one of the constraint tuples of ``levels[l]``, or None.
@@ -95,11 +102,13 @@ def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
     A child's opposed-pair table (``region.opposed_clash``) is its nonempty
     parent's with the piece's rows entered, so a pair that empties it needs
     no LP; else the point that proved the parent nonempty is checked on the
-    piece's rows; else the kernel decides.  The base ``cell`` goes through
-    an empty table first.  The leaf's point may be an inherited hint, not
-    its optimizer: emit only a fresh solve of the leaf."""
+    piece's rows; else the kernel decides on the table's rows, the tightest
+    of each primitive normal, which cut out the same cell.  The base
+    ``cell`` goes through an empty table first and is solved the same way.
+    The leaf is returned whole, but its point is a hint or the optimizer of
+    a reduced cell: emit only a fresh solve of the whole leaf."""
     table = {}
-    if _pair_empties(table, cell) or (hint := feasible(dim, cell)) is None:
+    if _pair_empties(table, cell) or (hint := feasible(dim, _reduced(table))) is None:
         return None
     if not levels:
         return cell
@@ -112,9 +121,9 @@ def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
             continue
         if _pair_empties(sub_table := dict(table), piece):
             continue
-        sub = cell + piece
-        probe = feasible_with_hint(dim, sub, piece, hint)
+        probe = feasible_with_hint(dim, _reduced(sub_table), piece, hint)
         if probe is not None:
+            sub = cell + piece
             if len(stack) == len(levels):
                 return sub
             stack.append((sub, sub_table, probe, iter(levels[len(stack)])))

@@ -41,7 +41,10 @@ class Instance:
     seed: int | None = None
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# ASCII digits only: int() also reads other scripts' digits, which
+# emit_instance would write back as ASCII, breaking the round trip
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_UNSIGNED_RE = re.compile(r"[0-9]+")
 
 
 def _decimal(text: str, line_no: int | None) -> int:
@@ -55,7 +58,7 @@ def _decimal(text: str, line_no: int | None) -> int:
 
 
 def parse_rational(text: str, line_no: int | None = None) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"malformed rational {text!r}", line_no)
     if "/" in text:
         num, den = text.split("/")
@@ -91,14 +94,14 @@ def parse_instance(text: str) -> Instance:
     seed = None
     no, toks = next_line("'seed' or 'shape'")
     if toks[0] == "seed":
-        if len(toks) != 2 or not toks[1].isdecimal():
+        if len(toks) != 2 or not _UNSIGNED_RE.fullmatch(toks[1]):
             raise ParseError("expected 'seed <unsigned integer>'", no)
         seed = _decimal(toks[1], no)
         if seed >= 1 << 64:
             raise ParseError("seed exceeds 64 bits", no)
         no, toks = next_line("'shape'")
 
-    if toks[0] != "shape" or len(toks) != 2 or not toks[1].isdecimal():
+    if toks[0] != "shape" or len(toks) != 2 or not _UNSIGNED_RE.fullmatch(toks[1]):
         raise ParseError("expected 'shape <count>'", no)
     k = _decimal(toks[1], no)
     halfplanes = []
@@ -114,7 +117,7 @@ def parse_instance(text: str) -> Instance:
         halfplanes.append(HalfPlane((ax, ay), b, toks[3] == "strict"))
 
     no, toks = next_line("'points'")
-    if toks[0] != "points" or len(toks) != 2 or not toks[1].isdecimal():
+    if toks[0] != "points" or len(toks) != 2 or not _UNSIGNED_RE.fullmatch(toks[1]):
         raise ParseError("expected 'points <count>'", no)
     n = _decimal(toks[1], no)
     pts = []

@@ -119,9 +119,9 @@ def opposed_clash(table: dict, piece):
 
 
 def feasible_with_hint(dim: int, cell, piece, hint) -> tuple[Fraction, ...] | None:
-    """``hint``, a point of the cell that ``piece`` extends to ``cell``, if
-    it lies in ``piece`` too, as then it lies in ``cell``; otherwise
-    ``feasible(dim, cell)``."""
+    """``hint`` if it lies in ``piece``: a point of the parent cell, it then
+    lies in the parent cut by ``piece``, the cell the rows ``cell`` cut
+    out.  Otherwise ``feasible(dim, cell)``."""
     if contains_point(piece, hint):
         return hint
     return feasible(dim, cell)

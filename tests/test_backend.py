@@ -1,20 +1,22 @@
 """The exact slack LP kernel, called directly: its optimum against the
 brute-force oracle, its answers pinned over a fixed set of runs, the
 search's certified opposed-pair exit for empty cells (a proposal may
-change the speed, never an answer), exact Phase I on the empty LPs no
-pair decides, extreme data against the oracle, witnesses that do not
-depend on the points the DFS probes return, and the fraction-free
-pivots against a dense ``Fraction`` reference."""
+change the speed, never an answer), the reduced cells the search hands
+the kernel and the whole leaf the witness solve gets, exact Phase I on
+the empty LPs no pair decides, extreme data against the oracle,
+witnesses that do not depend on the points the DFS probes return, and
+the fraction-free pivots against a dense ``Fraction`` reference."""
 
 import functools
 import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from delgraphs import backend, builder, region
+from delgraphs import backend, builder, planarity, region
 from delgraphs.builder import build_graph
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import find_boundary_degeneracy
@@ -77,11 +79,11 @@ def test_optimum_matches_bruteforce_oracle(dim, base, count):
 
 
 # Between them these runs reach every branch of the search and the
-# kernel: the pair exit, exact Phase I ending infeasible (the empty LPs no
-# opposed pair decides, whose Farkas support has three or more rows), no
-# Phase I, the auxiliary variable still basic after Phase I, and s basic
-# when Phase II starts.  The boundary scan makes 3-D LPs with equality
-# pairs, where the auxiliary variable most often stays basic.
+# kernel: the pair exit, and the four kernel branches that ``_run_pinned``
+# counts: exact Phase I ending infeasible (the empty LPs no opposed pair
+# decides, whose Farkas support has three or more rows), no Phase I, the
+# auxiliary variable still basic after Phase I, and s basic when Phase II
+# starts.  The boundary scan makes 3-D LPs with equality pairs.
 PINNED_BUILDS = [generate_instance(seed, 6, 5, TRANSLATE, Fraction(1, 3))
                  for seed in (2, 13, 19, 22, 23)]
 PINNED_BUILDS.append(generate_bounded_instance(116, 5, 6, TRANSLATE))
@@ -89,30 +91,37 @@ PINNED_BOUNDARY = generate_bounded_instance(7036, 6, 4, HOMOTHET)
 # (calls, SHA-256 of every kernel call and answer) of the builds and of
 # the boundary scan, pinned apart: a change to one search shows in one pin
 PINNED = {
-    "builds": (398, "a7774f4909aff3eebbc5611d1a4d50283b41826cf54ecd0e3c97cff23b7ebf11"),
-    "boundary": (10, "1b11ea41a29a2b5ae8ebdd27c1854dca346bc6ff35fd4ddbb8c0da7ccc37275a"),
+    "builds": (399, "6bef7bed69f92daa0a129f923b8e461edd9b40b36e987945b77ef91dfee4e5b3"),
+    "boundary": (7, "3b12e8d58fc636ca1f47212c9e771f1f0a84b3608f5984b0ac05c7b8eb97d1ef"),
 }
 # The builds pin when no clash is certified: every cell then reaches the
-# kernel, whose simplex finds the 905 cells the pair exit empties empty.
-# PINNED["builds"] is this log with those 905 calls left out.
+# kernel, as the table's rows entered up to the clash, and the simplex
+# finds the 905 cells the pair exit empties empty.  PINNED["builds"] is
+# this log with those 905 calls left out.
 UNPRUNED = {**PINNED, "builds": (
-    1303, "f87517f9b0789155be8377b8a6add311df9c24795826adc0664be1600dd8f035")}
+    1304, "47e6b02d78ded1b27200a98e97f8c8fd77cd403425ec0b481f39665f7d482bde")}
+
+
+KERNEL_BRANCHES = ("Phase I empty", "no Phase I", "aux basic", "s basic")
 
 
 def _run_pinned(monkeypatch):
-    """({pin: (calls, SHA-256)}, certified exits, proposed clashes, exact
-    Phase I infeasible, the builds' edges) over the pinned builds and
-    boundary scan.  Every certificate the search checks is accepted iff it
-    is one."""
+    """({pin: (calls, SHA-256)}, certified exits, proposed clashes, how
+    often each of ``KERNEL_BRANCHES`` is taken, the builds' edges) over the
+    pinned builds and boundary scan.  Every certificate the search checks
+    is accepted iff it is one."""
     log = []
     certified = []
     pairs = []
-    empties = []
+    branches = dict.fromkeys(KERNEL_BRANCHES, 0)
+    aux = []  # the id Phase I gives aux, while it runs
     edges = []
     solve = backend.solve_slack_lp
     check = builder.farkas_certifies
     pair = builder.opposed_clash
     phase_one = backend._Dictionary.phase_one
+    phase_two = backend._Dictionary.phase_two
+    bland = backend._Dictionary.bland
 
     def recording(dim, rows):
         answer = solve(dim, rows)
@@ -139,15 +148,28 @@ def _run_pinned(monkeypatch):
         return cert
 
     def phasing(lp):
+        branches["no Phase I"] += min(lp.rhs) >= 0
+        aux.append(len(lp.nonbasic) + len(lp.tab))
         z = phase_one(lp)
-        if z < 0:
-            empties.append(z)
+        aux.pop()
+        branches["Phase I empty"] += z < 0
         return z
+
+    def optimizing(lp):
+        z = bland(lp)
+        branches["aux basic"] += bool(aux) and z >= 0 and aux[-1] in lp.basic
+        return z
+
+    def phasing_two(lp):
+        branches["s basic"] += len(lp.nonbasic) - 1 in lp.basic
+        return phase_two(lp)
 
     monkeypatch.setattr(backend, "solve_slack_lp", recording)
     monkeypatch.setattr(builder, "farkas_certifies", counting)
     monkeypatch.setattr(builder, "opposed_clash", pairing)
     monkeypatch.setattr(backend._Dictionary, "phase_one", phasing)
+    monkeypatch.setattr(backend._Dictionary, "phase_two", phasing_two)
+    monkeypatch.setattr(backend._Dictionary, "bland", optimizing)
     for inst in PINNED_BUILDS:
         for mode in MODES:
             edges.append(build_graph(inst.points, inst.shape, mode).edges)
@@ -155,14 +177,16 @@ def _run_pinned(monkeypatch):
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
     pins["boundary"] = pin()
-    return pins, len(certified), len(pairs), len(empties), edges
+    return pins, len(certified), len(pairs), branches, edges
 
 
 def test_kernel_answers_are_pinned(monkeypatch):
-    pins, certified, pairs, empties, _ = _run_pinned(monkeypatch)
+    pins, certified, pairs, branches, _ = _run_pinned(monkeypatch)
     assert pins == PINNED
     assert certified == pairs > 0  # every proposed pair here is certified
-    assert empties > 0  # and exact Phase I decides the empty LPs no pair does
+    # exact Phase I decides the empty LPs no pair does, and the runs reach
+    # every other kernel branch
+    assert all(branches[name] > 0 for name in KERNEL_BRANCHES), branches
 
 
 def _feasible_subset(rows):
@@ -212,6 +236,68 @@ def test_pair_proposal_changes_no_answer(monkeypatch, name):
     assert certified == 0 < pairs  # the check rejects every one
     assert pins == UNPRUNED  # so every cell reaches the kernel
     assert edges == _witness_edges()[:len(edges)]
+
+
+def _normals(rows):
+    """The distinct primitive normals of integer rows."""
+    return {tuple(c // gcd(*a) for c in a) for a, _, _ in rows}
+
+
+def _is_whole(leaf, cell, levels):
+    """Whether ``leaf`` is ``cell`` followed by one piece of each level."""
+    pos = len(cell)
+    for level in levels:
+        piece = next((p for p in level if leaf[pos:pos + len(p)] == p), None)
+        if piece is None:
+            return False
+        pos += len(piece)
+    return leaf[:len(cell)] == cell and pos == len(leaf)
+
+
+def test_kernel_sees_reduced_cells_and_the_witness_solve_the_whole_leaf(monkeypatch):
+    """On the pinned builds and boundary scan, the base and probe solves
+    inside ``first_leaf`` hand the kernel one row per primitive normal, at
+    most 2k + 1 rows (2k in translate mode); every leaf the search returns
+    is whole, and every emitted witness is the optimizer of that leaf."""
+    solve, search = backend.solve_slack_lp, builder.first_leaf
+    searching, leaves, sizes, dropped = [], [], [], []
+    most = witnesses = 0
+
+    def kernel(dim, rows):
+        if searching:
+            assert len(_normals(rows)) == len(rows) <= most, rows
+            sizes.append(len(rows))
+        return solve(dim, rows)
+
+    def leaf_of(dim, cell, levels):
+        searching.append(cell)
+        leaf = search(dim, cell, levels)
+        searching.pop()
+        if leaf is not None:
+            assert _is_whole(leaf, cell, levels)
+            rows = [c.row for c in leaf]
+            dropped.append(len(rows) - len(_normals(rows)))
+            leaves.append((dim, leaf))
+        return leaf
+
+    monkeypatch.setattr(backend, "solve_slack_lp", kernel)
+    monkeypatch.setattr(builder, "first_leaf", leaf_of)
+    monkeypatch.setattr(planarity, "first_leaf", leaf_of)
+    for inst in PINNED_BUILDS:
+        for mode in MODES:
+            most = 2 * len(inst.shape.halfplanes) + (mode == HOMOTHET)
+            leaves.clear()
+            edges = build_graph(inst.points, inst.shape, mode).edges
+            assert len(edges) == len(leaves)
+            witnesses += len(edges)
+            for edge, (dim, leaf) in zip(edges, leaves):
+                assert edge.witness == builder._witness_from(region.feasible(dim, leaf), mode)
+    most = 2 * len(PINNED_BOUNDARY.shape.halfplanes) + 1
+    assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
+                                    PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
+    # every kernel call of the pinned runs but the witness solves
+    assert len(sizes) == PINNED["builds"][0] + PINNED["boundary"][0] - witnesses
+    assert max(dropped) > 0  # the leaves hold rows their reduced cells drop
 
 
 def _contradictory_pairs(rows):

@@ -250,6 +250,13 @@ def test_file_errors_print_one_line_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {bad}: line {line_no}: zero denominator in '1/0'"]
 
+    digits = tmp_path / "digits.dg"  # int() reads these, emit would write ASCII
+    digits.write_text("mode translate\nshape \u0661\n1 0 \u0661/\u0662 closed\npoints 0\n",
+                      encoding="utf-8")
+    assert main(["build", "--input", str(digits)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {digits}: line 2: expected 'shape <count>'"]
+
     latin = tmp_path / "latin.dg"
     latin.write_bytes(GOOD.encode() + b"\xff\n")
     assert main(["build", "--input", str(latin)]) == 1

@@ -82,10 +82,20 @@ LONG_DIGITS = "1" * 5000  # past int()'s default limit of 4300 digits
     ("mode translate\nseed \u00b2\nshape 0\npoints 0\n", 2),
     (f"mode translate\nseed {LONG_DIGITS}\nshape 0\npoints 0\n", 2),
     (f"mode translate\nshape 1\n1 0 {LONG_DIGITS} closed\npoints 0\n", 3),
+    ("mode translate\nshape \u0661\n1 0 \u0661/\u0662 closed\npoints 0\n", 2),
+    ("mode translate\nshape 1\n1 0 \u0661/\u0662 closed\npoints 0\n", 3),
+    ("mode translate\nshape 1\n\uff11 0 1 closed\npoints 0\n", 3),
+    ("mode translate\nshape 0\npoints \u0967\n", 3),
+    ("mode translate\nshape 0\npoints 1\n0 -\u0663\n", 4),
+    ("mode translate\nseed \u0663\nshape 0\npoints 0\n", 2),
 ], ids=["shape-superscript", "points-superscript", "seed-superscript",
-        "seed-too-long", "rational-too-long"])
+        "seed-too-long", "rational-too-long", "shape-arabic-indic",
+        "rational-arabic-indic", "coefficient-fullwidth", "points-devanagari",
+        "point-arabic-indic", "seed-arabic-indic"])
 def test_parse_error_on_tokens_int_rejects(bad, line_no):
-    # str.isdigit() accepts superscripts that int() rejects
+    # str.isdigit() accepts superscripts that int() rejects; int() reads
+    # other scripts' digits, which emit_instance would write back as
+    # ASCII, so accepting them would break the byte-exact round trip
     with pytest.raises(ParseError) as err:
         parse_instance(bad)
     assert err.value.line_no == line_no
