@@ -45,10 +45,11 @@ values.
 Farkas certificates: integer y >= 0 over rows S with y.A_S = 0 and
 y.b_S < 0 prove the LP infeasible, for any (x, s >= 0) would give
 0 <= s * y.sigma_S = y.(A_S x + sigma_S s) <= y.b_S < 0, as sigma >= 0.
-``farkas_certifies`` checks one; the cell search proposes them from its
-opposed-pair table (``region.opposed_clash``) before any LP reaches the
-kernel, so ``solve_slack_lp`` is the simplex alone: Phase I decides every
-empty LP it is given and Phase II returns the optimizer.
+``farkas_certifies(rows, y)`` checks one over exactly the rows it is
+given.  The cell search proposes two-row ones, each clash (rows, y) of
+its opposed-pair table (``region.opposed_clash``), before any LP reaches
+the kernel, so ``solve_slack_lp`` is the simplex alone: Phase I decides
+every empty LP it is given and Phase II returns the optimizer.
 """
 
 from __future__ import annotations
@@ -168,13 +169,12 @@ class _Dictionary:
         return self.bland()
 
 
-def farkas_certifies(rows, support, y) -> bool:
-    """True iff y >= 0 over the rows ``support`` has y.b < 0 and y.A = 0,
-    which proves the LP infeasible (see the module docstring)."""
-    weighted = [(v * b, *[v * c for c in a])
-                for v, (a, b, _) in zip(y, [rows[i] for i in support])]
-    if not weighted or min(y) < 0:
+def farkas_certifies(rows, y) -> bool:
+    """True iff y >= 0, one weight per row of ``rows``, has y.b < 0 and
+    y.A = 0, which proves the LP infeasible (see the module docstring)."""
+    if not rows or len(y) != len(rows) or min(y) < 0:
         return False
+    weighted = [(v * b, *[v * c for c in a]) for v, (a, b, _) in zip(y, rows)]
     yb, *ya = map(sum, zip(*weighted))
     return yb < 0 and not any(ya)
 

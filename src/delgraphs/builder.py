@@ -7,11 +7,12 @@ parameter space: the placements containing both endpoints form a convex
 region, each other point r carves out the convex "hole" of placements
 containing r, and the edge exists iff the base region minus all holes is
 nonempty.  Holes are cut away in ascending point order and the
-resulting disjoint cells are scanned in generation order; each cell is
-tested only on the piece it adds to its parent, and the kernel decides
-it on the reduced cell, one row per primitive normal.  Only the witness
-solve sees the whole leaf: it is a fresh solve of the first cell that
-survives, so it is deterministic.
+resulting disjoint cells are scanned in generation order, the base
+region the one cell of the first level; each cell is tested only on the
+piece it adds to its parent, and the kernel decides it on the reduced
+cell, one row per primitive normal.  Only the witness solve sees the
+whole leaf: it is a fresh solve of the first cell that survives, so it
+is deterministic.
 This search, ``first_leaf``, also runs the boundary test
 ``planarity.on_common_homothet_boundary``.
 """
@@ -83,45 +84,35 @@ def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
     return mems, [complement(mem) for mem in mems]
 
 
-def _pair_empties(table: dict, piece) -> bool:
-    """True iff entering ``piece`` into ``table`` finds an opposed pair
-    whose certificate ``farkas_certifies`` accepts, else the kernel decides."""
-    cert = opposed_clash(table, piece)
-    return cert is not None and farkas_certifies(*cert)
-
-
-def _reduced(table: dict) -> tuple:
-    """The table's rows, one per primitive normal: the same cell."""
-    return tuple([c for _, _, c in table.values()])
-
-
 def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
-    """First nonempty ``cell + piece_0 + ... + piece_d`` in depth-first
-    order, piece_l one of the constraint tuples of ``levels[l]``, or None.
+    """First nonempty ``cell + piece_1 + ... + piece_d`` in depth-first
+    order, piece_l one of the constraint tuples of ``levels[l - 1]``, or
+    None.  ``cell`` is the one piece of level 0.
 
-    A child's opposed-pair table (``region.opposed_clash``) is its nonempty
-    parent's with the piece's rows entered, so a pair that empties it needs
-    no LP; else the point that proved the parent nonempty is checked on the
-    piece's rows; else the kernel decides on the table's rows, the tightest
-    of each primitive normal, which cut out the same cell.  The base
-    ``cell`` goes through an empty table first and is solved the same way.
-    The leaf is returned whole, but its point is a hint or the optimizer of
-    a reduced cell: emit only a fresh solve of the whole leaf."""
-    table = {}
-    if _pair_empties(table, cell) or (hint := feasible(dim, _reduced(table))) is None:
-        return None
-    if not levels:
-        return cell
-    stack = [(cell, table, hint, iter(levels[0]))]  # one entry per level entered
+    A child is its nonempty parent with one piece added.  The piece's rows
+    go into a copy of the parent's opposed-pair table
+    (``region.opposed_clash``), so a pair that empties the child needs no
+    LP; else the point that proved the parent nonempty is checked on the
+    piece's rows; else the kernel decides on the table's rows, the
+    tightest of each primitive normal, which cut out the same cell.  The
+    base cell enters an empty table and, with no parent point, goes to the
+    kernel.  The leaf is returned whole, but its point is a hint or the
+    optimizer of a reduced cell: emit only a fresh solve of the whole
+    leaf."""
+    levels = ((cell,), *levels)
+    stack = [((), {}, None, iter(levels[0]))]  # one entry per level entered
     while stack:
         cell, table, hint, pieces = stack[-1]
         piece = next(pieces, None)
         if piece is None:
             stack.pop()
             continue
-        if _pair_empties(sub_table := dict(table), piece):
+        clash = opposed_clash(sub_table := dict(table), piece)
+        if clash is not None and farkas_certifies(*clash):
             continue
-        probe = feasible_with_hint(dim, _reduced(sub_table), piece, hint)
+        rows = tuple(sub_table.values())
+        probe = (feasible(dim, rows) if hint is None
+                 else feasible_with_hint(dim, rows, piece, hint))
         if probe is not None:
             sub = cell + piece
             if len(stack) == len(levels):

@@ -14,9 +14,10 @@ import time
 from fractions import Fraction
 
 from .builder import WitnessVerificationError, build_graph, is_subgraph
-from .instances import (Instance, ParseError, emit_instance,
-                        generate_bounded_instance, generate_instance,
-                        parse_instance, parse_rational, sampled_edges)
+from .instances import (_UNSIGNED_RE, Instance, ParseError, _decimal,
+                        emit_instance, generate_bounded_instance,
+                        generate_instance, parse_instance, parse_rational,
+                        sampled_edges)
 from .planarity import (collinear_triples, find_boundary_degeneracy,
                         triangulation_check, verify_plane)
 from .rng import SplitMix64, derive_seed
@@ -36,12 +37,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(minimum: int):
-    """argparse type: an integer >= minimum."""
+    """argparse type: an integer >= minimum, written in ASCII digits alone,
+    as in instance files."""
     def parse(text: str) -> int:
+        if not _UNSIGNED_RE.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            value = _decimal(text, None)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value

@@ -46,8 +46,8 @@ class LinearConstraint:
 
     @cached_property
     def pair_key(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        """(n, -n, b, g) for ``row`` read as g*n.x <= b, n primitive: the
-        keys of the opposed-pair table (``opposed_clash``)."""
+        """(n, -n, b, g) for ``row`` read as g*n.x <= b, n primitive: what
+        the opposed-pair table (``opposed_clash``) files and compares rows by."""
         a, b, _ = self.row
         g = gcd(*a)
         n = tuple([c // g for c in a])
@@ -97,11 +97,11 @@ def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
 def opposed_clash(table: dict, piece):
     """Enter the rows of ``piece`` into ``table`` and return the first
     opposed pair that empties the cell, as the Farkas certificate
-    (rows, support, y) for ``backend.farkas_certifies``, or None.
+    (rows, y) for ``backend.farkas_certifies``, or None.
 
-    ``table`` maps each primitive normal n to (b, g, c): of the rows
-    entered, c, g*n.x <= b, has the least b/g, strict at a tie, so it
-    implies the others and the table's rows cut out the same cell.  Rows
+    ``table`` maps each primitive normal n to the row c, g*n.x <= b, that
+    has the least b/g of the rows entered, strict at a tie: c implies the
+    others, so the table's values cut out the same cell.  Rows
     g1*n.x <= b1 and -g2*n.x <= b2 with g2*b1 + g1*b2 < 0 contradict, with
     y = (g2, g1) (Schrijver 1986, section 7), and only if the tightest rows
     of n and -n do; so if the table held no such pair, checking each new
@@ -111,10 +111,11 @@ def opposed_clash(table: dict, piece):
     for c in piece:
         n, opposite, b, g = c.pair_key
         old = table.get(n)
-        if old is None or (d := b * old[1] - old[0] * g) < 0 or (d == 0 and c.strict):
-            table[n] = b, g, c
-        if (o := table.get(opposite)) and o[1] * b + g * o[0] < 0:
-            return (c.row, o[2].row), (0, 1), (o[1], g)
+        if old is None or (d := b * old.pair_key[3] - old.pair_key[2] * g) < 0 or (
+                d == 0 and c.strict):
+            table[n] = c
+        if (o := table.get(opposite)) and (og := o.pair_key[3]) * b + g * o.pair_key[2] < 0:
+            return (c.row, o.row), (og, g)
     return None
 
 

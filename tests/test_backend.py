@@ -134,9 +134,9 @@ def _run_pinned(monkeypatch):
         log.clear()
         return calls, digest
 
-    def counting(rows, support, y):
-        ok = check(rows, support, y)
-        assert ok == (len(y) > 0 and _is_certificate([rows[i] for i in support], y))
+    def counting(rows, y):
+        ok = check(rows, y)
+        assert ok == (len(y) == len(rows) > 0 and _is_certificate(rows, y))
         if ok:
             certified.append(y)
         return ok
@@ -193,14 +193,14 @@ def _feasible_subset(rows):
     return [i for i, (_, b, _) in enumerate(rows) if b >= 0]  # x = 0, s = 0
 
 
-def _ones(rows, support):
-    return rows, support, (1,) * len(support)
+def _ones(rows, ids):
+    return [rows[i] for i in ids], (1,) * len(ids)
 
 
-def _true_support(wrong_y):
-    """The true clash's rows and support with y replaced by ``wrong_y(y)``."""
+def _true_rows(wrong_y):
+    """The true clash's rows with y replaced by ``wrong_y(y)``."""
     def propose(rows, cert):
-        return cert and (*cert[:2], wrong_y(cert[2]))
+        return cert and (cert[0], wrong_y(cert[1]))
     return propose
 
 
@@ -214,8 +214,8 @@ WRONG_PROPOSERS = {
     "feasible-subset": lambda rows, cert: _ones(rows, _feasible_subset(rows)),
     "shuffled-subset": lambda rows, cert: _ones(rows, random.Random(len(rows)).sample(
         range(len(rows)), min(len(rows[0][0]) + 1, len(rows)))),
-    "negated-y": _true_support(lambda y: tuple(-v for v in y)),
-    "zeroed-weight": _true_support(lambda y: (0, *y[1:])),
+    "negated-y": _true_rows(lambda y: tuple(-v for v in y)),
+    "zeroed-weight": _true_rows(lambda y: (0, *y[1:])),
 }
 
 
@@ -228,7 +228,7 @@ def test_pair_proposal_changes_no_answer(monkeypatch, name):
 
     def proposing(table, piece):
         cert = region.opposed_clash(table, piece)
-        rows = [c.row for c in piece] + [c.row for _, _, c in table.values()]
+        rows = [c.row for c in piece] + [c.row for c in table.values()]
         return wrong(rows, cert)
 
     monkeypatch.setattr(builder, "opposed_clash", proposing)
@@ -326,7 +326,7 @@ def test_opposed_pair_finds_every_contradictory_pair(dim, base, count):
             assert cert is None, rows
             continue
         found += 1
-        clash_rows, support, y = cert
+        clash_rows, y = cert
         assert sorted(r[:2] for r in clash_rows) in [
             sorted(rows[i][:2] for i in pair) for pair in pairs]
         assert _is_certificate(clash_rows, y), rows
@@ -338,7 +338,7 @@ def test_zero_normal_rows():
     """A zero row 0 <= b, which no cell holds but the kernel takes: with
     b < 0 Phase I finds it empty, else it is no constraint."""
     rows = [((0, 0), -1, 0)]
-    assert backend.farkas_certifies(rows, (0,), (1,))
+    assert backend.farkas_certifies(rows, (1,))
     assert backend.solve_slack_lp(2, rows) == (False, None, None)
     rows = [((0, 0), 0, 1)]
     assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 0)
@@ -551,11 +551,11 @@ RANK_DEFICIENT = [((1, 0), -1, 0), ((-1, 0), 0, 0), ((2, 0), -3, 0)]
     # three parallel rows: y is not unique, (1, 1, 0) is one
     (RANK_DEFICIENT, ((1, 1, 0), "pair")),
 ])
-def test_farkas_weights_accepts_a_true_certificate(solve, rows, expected):
+def test_farkas_certifies_accepts_a_true_certificate(solve, rows, expected):
     """``farkas_certifies`` accepts a known certificate."""
     y, exit = expected
     assert _is_certificate(rows, y)
-    assert backend.farkas_certifies(rows, range(len(rows)), y)
+    assert backend.farkas_certifies(rows, y)
     assert solve(len(rows[0][0]), rows) == ((False, None, None), exit)
 
 
@@ -573,10 +573,10 @@ def test_farkas_weights_accepts_a_true_certificate(solve, rows, expected):
     # y = 0 on infeasible rows: y.b = 0
     (RANK_DEFICIENT, (0, 0, 0)),
 ], ids=[f"rows{k}" for k in range(6)])
-def test_farkas_weights_rejects(rows, y):
+def test_farkas_certifies_rejects_a_non_certificate(rows, y):
     """``farkas_certifies`` rejects a y that is not a certificate."""
     assert not _is_certificate(rows, y)
-    assert not backend.farkas_certifies(rows, range(len(rows)), y)
+    assert not backend.farkas_certifies(rows, y)
 
 
 def test_farkas_certifies_matches_the_definition():
@@ -588,15 +588,17 @@ def test_farkas_certifies_matches_the_definition():
     for _ in range(600):
         dim = rng.choice((2, 3))
         rows = _random_rows(rng, dim, 4)
-        support = rng.sample(range(len(rows)), rng.randint(1, min(3, len(rows))))
-        y = [rng.choice((-1, 0, 1, 1, 2, 3)) for _ in support]
-        if (cert := _clash(rows)) and rng.random() < 0.5:
+        ids = rng.sample(range(len(rows)), rng.randint(1, min(3, len(rows))))
+        y = [rng.choice((-1, 0, 1, 1, 2, 3)) for _ in ids]
+        cert = _clash(rows)
+        rows = [rows[i] for i in ids]
+        if cert and rng.random() < 0.5:
             k = rng.randint(1, 3)
-            rows, support, y = cert[0], cert[1], [k * v for v in cert[2]]
+            rows, y = cert[0], [k * v for v in cert[1]]
             if rng.random() < 0.5:
                 y[rng.randrange(len(y))] += rng.choice((-1, 1))
-        want = _is_certificate([rows[i] for i in support], y)
-        assert backend.farkas_certifies(rows, support, y) == want, (rows, support, y)
+        want = _is_certificate(rows, y)
+        assert backend.farkas_certifies(rows, y) == want, (rows, y)
         verdicts.append(want)
     assert sum(verdicts) > 30 and verdicts.count(False) > 300
 
@@ -608,9 +610,9 @@ def test_opposed_pair_takes_the_tightest_pair(solve):
     low, nonnegative, lower = (region.constraint(a, b) for a, b, _ in RANK_DEFICIENT)
     table = {}
     assert region.opposed_clash(table, (low, lower)) is None
-    assert table[(1, 0)][2] is lower
+    assert table[(1, 0)] is lower
     assert region.opposed_clash(table, (nonnegative,)) == (
-        (nonnegative.row, lower.row), (0, 1), (2, 1))
+        (nonnegative.row, lower.row), (2, 1))
     assert solve(2, RANK_DEFICIENT) == ((False, None, None), "pair")
 
 
@@ -631,7 +633,7 @@ BIG = 10 ** 400  # float() of this raises OverflowError
     (2, [((BIG, 0), 0, 0), ((0, BIG), 0, 0), ((-BIG, -BIG), -BIG, 0)]),  # x, y <= 0, x + y >= 1
     (2, [((BIG, 0), BIG, 0), ((-BIG, 1), 0, 1)]),
 ])
-def test_float_overflow_falls_back(solve, dim, rows):
+def test_data_beyond_float_range_is_decided_by_the_kernel(solve, dim, rows):
     assert solve(dim, rows)[1] == "exact"
     _assert_matches_oracle(dim, rows)
 
@@ -640,7 +642,7 @@ def test_float_overflow_falls_back(solve, dim, rows):
     (2, [((-1, H), -1, 0), ((0, 1), -1, 1), ((2 * H, H), -1, 1)]),  # empty
     (2, [((-H, 2), -1, 0), ((-1, 2 * H), -2, 0)]),  # nonempty
 ])
-def test_nonfinite_float_values_fall_back(dim, rows):
+def test_products_beyond_float_range_match_the_oracle(dim, rows):
     _assert_matches_oracle(dim, rows)
 
 
@@ -652,16 +654,17 @@ def test_oracle_box_follows_the_data():
     assert oracle_feasible(rows, 2) == (True, 1)
 
 
-def test_nearly_parallel_rows_fall_back():
+def test_nearly_parallel_rows_are_no_clash_and_match_the_oracle():
     # 10**17 and 10**17 + 1 round to the same float, so as floats these
     # rows are opposed and parallel; exactly they are independent.
     big = 10 ** 17
     rows = [((big, big + 1), -1, 0), ((-big - 1, -big - 2), -1, 0)]
     assert _clash(rows) is None
     # the y that cancels the first column leaves 1 in the second
-    assert not backend.farkas_certifies(rows, (0, 1), (big + 1, big))
+    assert not backend.farkas_certifies(rows, (big + 1, big))
     _assert_matches_oracle(2, rows)
-    # Here a float ratio test finds no pivot row (an unbounded claim).
+    # Rounded to floats, these rows' ratio test finds no pivot row (an
+    # unbounded claim); the integer dictionary finds one.
     rows = [((-100000001, 300000001, -1), -3, 0), ((-100000001, 299999999, -2), 1, 0),
             ((-100000001, 300000000, 1), -2, 1), ((-100000000, 300000002, -1), -3, 1),
             ((99999998, 300000001, 1), 0, 0), ((-100000002, 299999999, 2), 4, 1),

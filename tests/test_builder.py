@@ -94,6 +94,22 @@ def test_edge_feasible_rechecks_its_witness(monkeypatch):
         edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 0, 1, HOMOTHET)
 
 
+# the closed unit square with its right side x < 1 open
+RIGHT_OPEN_SQUARE = shape_from_rows([
+    (1, 0, 1, True), (-1, 0, 0, False), (0, 1, 1, False), (0, -1, 0, False)])
+
+
+@pytest.mark.parametrize("witness, valid", [
+    (Placement((F(0), F(0))), True),
+    (Placement((F(0), F(0)), F(3)), False),  # also holds the third point (2, 0)
+    (Placement((F(1, 4), F(0))), False),  # misses the endpoint (0, 0)
+    (Placement((F(-1, 2), F(0))), False),  # (1/2, 0) on the open side's line
+])
+def test_verify_witness_rejects_bad_placements(witness, valid):
+    P = PointSet((point(0, 0), point(F(1, 2), 0), point(2, 0)))
+    assert verify_witness(P, RIGHT_OPEN_SQUARE, 0, 1, witness) is valid
+
+
 def test_build_graph_single_point():
     g = build_graph(PointSet((point(0, 0),)), CLOSED_UNIT_SQUARE, TRANSLATE)
     assert len(g.points) == 1 and g.edges == ()

@@ -301,6 +301,13 @@ def test_usage_error_exit_code_1(capsys):
     (["triangulate-check", "--trials", "1", "--seed", "-1"], "--seed"),
     (["triangulate-check", "--trials", "1", "--seed", str(7 + 2 ** 64)], "--seed"),
     (["fuzz", "--trials", "1", "--seed", "x"], "--seed"),
+    # counts and seeds are ASCII digits alone, as in instance files
+    (["fuzz", "--trials", "\u0661", "--seed", "\u0667"], "--trials"),
+    (["fuzz", "--trials", "1_0", "--seed", "1"], "--trials"),
+    (["fuzz", "--trials", "1", "--seed", " 7"], "--seed"),
+    (["fuzz", "--trials", "+1", "--seed", "1"], "--trials"),
+    (["triangulate-check", "--trials", "1", "--seed", "0_8"], "--seed"),
+    (["fuzz", "--trials", "1" * 5000, "--seed", "1"], "--trials"),
 ])
 def test_bad_count_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
@@ -328,6 +335,13 @@ def test_seed_range_bounds_are_accepted(capsys):
     (["triangulate-check", "--trials", "3", "--seed", "8"],
      "triangulate-check trials=3 seed=8\n"
      "applicable=3 matches=2 miss-excused=1 miss-unexplained=0\n"),
+    # one instance with a collinear triple
+    (["fuzz", "--trials", "6", "--seed", "6"],
+     "fuzz trials=6 seed=6 max-points=10 max-halfplanes=7 open-fraction=mixed\n"
+     "edges translate=6 homothet=6 max-homothet=2\n"
+     "degenerate-instances=1/6\n"
+     "sampling checked=1 confirmed-translate=1/1 confirmed-homothet=1/1\n"
+     "violations=0\n"),
 ])
 def test_cli_stdout_is_pinned(capsys, argv, expected):
     assert main(argv) == 0
