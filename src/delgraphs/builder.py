@@ -26,7 +26,7 @@ from .backend import farkas_certifies
 from .geometry import Point2
 from .region import complement, feasible, feasible_with_hint, opposed_clash
 from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
-                    Placement, contains, membership_constraints)
+                    Placement, contains_each, membership_constraints)
 
 
 class WitnessVerificationError(AssertionError):
@@ -165,12 +165,10 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
 def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
                    w: Placement) -> bool:
     """Direct membership re-check: the placed shape must contain exactly
-    the two endpoints among all of P."""
-    for k in range(len(points)):
-        inside = contains(shape, w, points[k])
-        if inside != (k == i or k == j):
-            return False
-    return True
+    the two endpoints among all of P.  Decided on integers by
+    ``shape.contains_each``, independent of the search's rows."""
+    flags = contains_each(shape, w, points.points)
+    return {k for k, inside in enumerate(flags) if inside} == {i, j}
 
 
 def build_graph(points: PointSet, shape: ConvexShape, mode: str) -> GeometricGraph:

@@ -23,7 +23,8 @@ from . import backend
 from .builder import PointSet
 from .geometry import Point2, clear_denominators
 from .rng import SplitMix64, derive_seed, rational_in_window
-from .shape import HOMOTHET, MODES, TRANSLATE, ConvexShape, HalfPlane, Placement
+from .shape import (HOMOTHET, MODES, TRANSLATE, ConvexShape, HalfPlane, Placement,
+                    integer_rows)
 
 
 class ParseError(ValueError):
@@ -254,11 +255,6 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
 # Sampling oracle
 # ---------------------------------------------------------------------------
 
-def _integer_shape_rows(shape: ConvexShape):
-    return [(clear_denominators((h.a[0], h.a[1], h.b))[0], h.strict)
-            for h in shape.halfplanes]
-
-
 def _integer_points(points: PointSet):
     out = []
     for p in points.points:
@@ -289,7 +285,7 @@ def sample_witness_search(inst: Instance, i: int, j: int, trials: int,
     if i == j:
         raise ValueError("pair endpoints must differ")
     hit = backend.sample_pair_search(
-        _integer_shape_rows(inst.shape), _integer_points(inst.points),
+        integer_rows(inst.shape), _integer_points(inst.points),
         i, j, inst.mode == HOMOTHET, translation_window(inst.points),
         trials, seed)
     if hit is None:

@@ -20,7 +20,8 @@ from .geometry import (Point2, Segment, convex_hull, on_closed_segment,
                        orient, scale_to_integers)
 from .region import LinearConstraint, feasible  # noqa: F401  (bench/tracing.py wraps feasible)
 from .builder import GeometricGraph, first_leaf
-from .shape import HOMOTHET, POSITIVE_SCALE, ConvexShape, membership_constraints
+from .shape import (HOMOTHET, POSITIVE_SCALE, ConvexShape, integer_rows,
+                    membership_constraints)
 
 IndexEdge = tuple[int, int]
 
@@ -155,8 +156,25 @@ def collinear_triples(points) -> list[tuple[int, int, int]]:
             if orient(pts[i], pts[j], pts[k]) == 0]
 
 
-def on_common_homothet_boundary(points, shape: ConvexShape,
-                                indices) -> bool:
+def _boundary_rows(shape: ConvexShape, points) -> list[tuple]:
+    """Per point: its homothet membership rows, the one-row piece pinning
+    a.x == b for each half-plane (its closed row reversed; None when
+    open), and its dot products a.p on integers, each half-plane's
+    scaled by one positive factor so they compare as a.p does."""
+    grid, _ = scale_to_integers(list(points))
+    normals = [(ax, ay) for (ax, ay, _), _ in integer_rows(shape)]
+    out = []
+    for p, (x, y) in zip(points, grid):
+        mem = membership_constraints(shape, p, HOMOTHET)
+        tight = [None if h.strict else
+                 (LinearConstraint(tuple(-v for v in c.coeffs), -c.bound),)
+                 for h, c in zip(shape.halfplanes, mem)]
+        out.append((mem, tight, [ax * x + ay * y for ax, ay in normals]))
+    return out
+
+
+def on_common_homothet_boundary(points, shape: ConvexShape, indices,
+                                rows=None) -> bool:
     """Exact test whether all the chosen points lie on the boundary of a
     single homothet of a closed full-dimensional shape.
 
@@ -176,33 +194,35 @@ def on_common_homothet_boundary(points, shape: ConvexShape,
     closed and p maximises a over the chosen points, ties included.  Each
     assignment this drops is one the LP would find empty, so the answer
     is unchanged; a point left with no half-plane decides False at once.
+
+    ``rows`` maps each index to its ``_boundary_rows`` entry (None: built here).
     """
     if not shape.halfplanes:
         return False
-    chosen = [points[idx] for idx in indices]
-    mems = [membership_constraints(shape, p, HOMOTHET) for p in chosen]
+    if rows is None:
+        rows = dict(zip(indices, _boundary_rows(shape, [points[k] for k in indices])))
+    chosen = [rows[k] for k in indices]
     allowed: list[list[tuple[LinearConstraint]]] = [[] for _ in chosen]
     for hi, h in enumerate(shape.halfplanes):
         if h.strict:
             continue
-        dots = [h.a[0] * p.x + h.a[1] * p.y for p in chosen]
-        top = max(dots, default=0)
-        for pi, d in enumerate(dots):
-            if d == top:  # c with its reversed closed row pins a.x == b
-                c = mems[pi][hi]
-                allowed[pi].append(
-                    (LinearConstraint(tuple(-v for v in c.coeffs), -c.bound),))
+        top = max((dots[hi] for _, _, dots in chosen), default=0)
+        for pi, (_, tight, dots) in enumerate(chosen):
+            if dots[hi] == top:
+                allowed[pi].append(tight[hi])
     if not all(allowed):
         return False
-    base = (POSITIVE_SCALE, *(c for m in mems for c in m))
+    base = (POSITIVE_SCALE, *(c for mem, _, _ in chosen for c in mem))
     return first_leaf(3, base, allowed) is not None
 
 
 def find_boundary_degeneracy(points, shape: ConvexShape) -> tuple[int, ...] | None:
     """First 4-point subset (lexicographic) on a common homothet boundary,
     or None.  Used to trace triangulation-count misses back to the
-    degeneracy that legitimately excuses them."""
+    degeneracy that legitimately excuses them.  Each point's rows are
+    made once per scan and shared by every quad's search."""
+    rows = _boundary_rows(shape, points)
     for quad in combinations(range(len(points)), 4):
-        if on_common_homothet_boundary(points, shape, quad):
+        if on_common_homothet_boundary(points, shape, quad, rows):
             return quad
     return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point2
+from .geometry import Point2, clear_denominators, scale_to_integers
 from .region import LinearConstraint
 
 TRANSLATE = "translate"
@@ -56,19 +56,30 @@ class Placement:
             raise ValueError("placement scale must be positive")
 
 
+def integer_rows(shape: ConvexShape) -> list[tuple[tuple[int, int, int], bool]]:
+    """((ax, ay, b), strict) per half-plane, each cleared of its own
+    denominators: the same half-plane a.x <= b (or < b) on integers."""
+    return [(clear_denominators((h.a[0], h.a[1], h.b))[0], h.strict)
+            for h in shape.halfplanes]
+
+
+def contains_each(shape: ConvexShape, placement: Placement, points) -> list[bool]:
+    """Exact test, per point p, for p in lam*C + t: every half-plane must
+    satisfy a.(p - t) <= lam*b (strictly on open half-planes).  Decided
+    on integers: with p = X/d on the points' common grid, (t, lam) =
+    (T, L)/e and (a, b) = (A, B)/f, the test is A.(X*e - T*d) <= L*B*d."""
+    grid, d = scale_to_integers(list(points))
+    (tx, ty, lam), e = clear_denominators((*placement.translation, placement.scale))
+    # on integers v < c is v <= c - 1, so an open row lowers its bound by 1
+    rows = [(ax, ay, lam * b * d - strict)
+            for (ax, ay, b), strict in integer_rows(shape)]
+    return [all(ax * ux + ay * uy <= bound for ax, ay, bound in rows)
+            for ux, uy in ((x * e - tx * d, y * e - ty * d) for x, y in grid)]
+
+
 def contains(shape: ConvexShape, placement: Placement, p: Point2) -> bool:
-    """Exact test for p in lam*C + t: every half-plane must satisfy
-    a.(p - t) <= lam*b (strictly on open half-planes)."""
-    tx, ty = placement.translation
-    lam = placement.scale
-    dx = p.x - tx
-    dy = p.y - ty
-    for h in shape.halfplanes:
-        v = h.a[0] * dx + h.a[1] * dy
-        bound = lam * h.b
-        if v > bound or (h.strict and v == bound):
-            return False
-    return True
+    """Exact test for p in lam*C + t (``contains_each`` on the one point)."""
+    return contains_each(shape, placement, (p,))[0]
 
 
 def membership_constraints(shape: ConvexShape, p: Point2, mode: str) -> list[LinearConstraint]:

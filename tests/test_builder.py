@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import builder, planarity, region
+from delgraphs import builder, planarity, region, shape
 from delgraphs.builder import (Edge, GeometricGraph, PointSet,
                                WitnessVerificationError, build_graph,
                                edge_feasible, is_subgraph, verify_witness)
@@ -108,6 +108,18 @@ RIGHT_OPEN_SQUARE = shape_from_rows([
 def test_verify_witness_rejects_bad_placements(witness, valid):
     P = PointSet((point(0, 0), point(F(1, 2), 0), point(2, 0)))
     assert verify_witness(P, RIGHT_OPEN_SQUARE, 0, 1, witness) is valid
+
+
+def test_verify_witness_reads_no_search_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the re-check read the search's rows")
+
+    for module in (builder, shape):
+        monkeypatch.setattr(module, "membership_constraints", refuse)
+    monkeypatch.setattr(region.LinearConstraint, "row", property(refuse))
+    P = PointSet((point(0, 0), point(F(1, 2), 0), point(2, 0)))
+    assert verify_witness(P, RIGHT_OPEN_SQUARE, 0, 1, Placement((F(0), F(0))))
+    assert not verify_witness(P, RIGHT_OPEN_SQUARE, 0, 2, Placement((F(0), F(0))))
 
 
 def test_build_graph_single_point():

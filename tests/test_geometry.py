@@ -10,7 +10,8 @@ from delgraphs.geometry import (Point2, Segment, clear_denominators,
                                 convex_hull, on_closed_segment, orient, point,
                                 scale_to_integers)
 from delgraphs.instances import generate_bounded_instance, generate_instance
-from delgraphs.shape import HOMOTHET, MODES, TRANSLATE, membership_constraints
+from delgraphs.shape import (HOMOTHET, MODES, TRANSLATE, integer_rows,
+                             membership_constraints)
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 points = st.builds(Point2, frac, frac)
@@ -153,7 +154,7 @@ def test_integer_forms_match_the_former_inline_formulas():
     for inst in insts:
         pts = list(inst.points.points)
         assert scale_to_integers(pts) == _old_scale_to_integers(pts)
-        assert instances._integer_shape_rows(inst.shape) == _old_shape_rows(inst.shape)
+        assert integer_rows(inst.shape) == _old_shape_rows(inst.shape)
         assert instances._integer_points(inst.points) == _old_points(inst.points)
         for mode in MODES:
             cons = [c for p in pts for c in membership_constraints(inst.shape, p, mode)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import backend
+from delgraphs import backend, planarity
 from delgraphs.builder import Edge, GeometricGraph, PointSet, build_graph
 from delgraphs.geometry import (Point2, Segment, convex_hull,
                                 on_closed_segment, orient, point,
@@ -260,11 +260,16 @@ def boundary_by_all_assignments(points, shape, quad) -> bool:
     return bool(shape.halfplanes) and search(rows, 0)
 
 
-def test_boundary_filter_agrees_with_all_assignments():
+def boundary_cases():
+    """30 unbounded 5-point and 10 bounded 6-point homothet instances."""
     cases = [generate_instance(4000 + s, 5, 4, HOMOTHET, F(1, 3))
              for s in range(30)]
-    cases += [generate_bounded_instance(7000 + s, 6, 4, HOMOTHET)
-              for s in range(10)]
+    return cases + [generate_bounded_instance(7000 + s, 6, 4, HOMOTHET)
+                    for s in range(10)]
+
+
+def test_boundary_filter_agrees_with_all_assignments():
+    cases = boundary_cases()
     assert any(h.strict for inst in cases for h in inst.shape.halfplanes)
     positives = decided = 0
     for inst in cases:
@@ -277,6 +282,31 @@ def test_boundary_filter_agrees_with_all_assignments():
             decided += 1
     assert decided == 30 * 5 + 10 * 15
     assert positives >= 1  # seed 7002 has a boundary degeneracy
+
+
+def test_boundary_scan_agrees_with_quad_by_quad_tests():
+    found = 0
+    for inst in boundary_cases():
+        pts = inst.points.points
+        want = next((quad for quad in itertools.combinations(range(len(pts)), 4)
+                     if on_common_homothet_boundary(pts, inst.shape, quad)), None)
+        assert find_boundary_degeneracy(pts, inst.shape) == want, inst.seed
+        found += want is not None
+    assert found >= 1
+
+
+def test_boundary_scan_makes_each_points_rows_once(monkeypatch):
+    pts = (point(0, 0), point(3, 1), point(1, F(5, 2)), point(F(7, 3), F(8, 3)),
+           point(5, F(7, 2)), point(-2, F(9, 2)))
+    made, quads = [], []
+    rows_of, test = planarity.membership_constraints, planarity.on_common_homothet_boundary
+    monkeypatch.setattr(planarity, "membership_constraints",
+                        lambda *args: made.append(args[1]) or rows_of(*args))
+    monkeypatch.setattr(planarity, "on_common_homothet_boundary",
+                        lambda *args: quads.append(args[2]) or test(*args))
+    assert find_boundary_degeneracy(pts, CLOSED_UNIT_SQUARE) is None
+    assert len(quads) == 15  # no quad is degenerate, so every one is tried
+    assert made == list(pts)  # 6 row builds, not 4 per quad
 
 
 def count_feasible_calls(monkeypatch) -> list:

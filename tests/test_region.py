@@ -176,7 +176,7 @@ def test_feasible_with_hint_agrees_with_feasible():
     (2, (constraint((1, 1), 2), constraint((-1, -1), -2, True),  # a line's open side
          constraint((1, -1), 5))),
 ])
-def test_lp_feasible_empty_cell_falls_back(dim, cell):
+def test_zero_slack_on_a_strict_row_is_empty(dim, cell):
     # The slack LP is feasible but its optimum is s = 0 on a strict row, so
     # no opposed pair contradicts and the exact simplex says empty.
     rows = [c.row for c in cell]

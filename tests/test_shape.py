@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from delgraphs.geometry import Point2, point
 from delgraphs.region import contains_point, feasible
 from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, ConvexShape,
-                             HalfPlane, Placement, contains,
+                             HalfPlane, Placement, contains, contains_each,
                              membership_constraints, shape_from_rows)
 
 F = Fraction
@@ -103,6 +103,39 @@ def test_contains_iff_membership_constraints():
         cons_h = membership_constraints(shape, p, HOMOTHET)
         xh = (t[0], t[1], lam)
         assert contains(shape, w_h, p) == all(c.satisfied_by(xh) for c in cons_h)
+
+
+def test_contains_each_decides_ties_like_membership_constraints():
+    """Points exactly on each placed side, closed and open, and just off
+    it; the denominators of points, placement and shape are coprime."""
+    rng = random.Random(4881)
+    open_tie_only = closed_tie_inside = 0
+    for _ in range(150):
+        shape = random_shape(rng)
+        t = (F(rng.randint(-20, 20), 5), F(rng.randint(-20, 20), 7))
+        lam = F(rng.choice((2, 3, 4, 5, 9, 13)), 11)
+        x = (*t, lam)
+        pts, tied = [], []
+        for h in shape.halfplanes:
+            ax, ay = h.a
+            foot = lam * h.b / (ax * ax + ay * ay)  # t + foot*a: a.(p - t) = lam*b
+            for side in (F(0), F(1, 17), F(-1, 17)):
+                s = F(rng.randint(-9, 9), 13)
+                pts.append(Point2(t[0] + (foot + side) * ax - s * ay,
+                                  t[1] + (foot + side) * ay + s * ax))
+                tied.append(h if not side else None)
+        want = [all(c.satisfied_by(x) for c in membership_constraints(shape, p, HOMOTHET))
+                for p in pts]
+        assert contains_each(shape, Placement(t, lam), pts) == want
+        assert [contains(shape, Placement(t, lam), p) for p in pts] == want
+        for p, h, inside in zip(pts, tied, want):
+            others = [c for c, g in zip(membership_constraints(shape, p, HOMOTHET),
+                                        shape.halfplanes) if g is not h]
+            if h is not None and all(c.satisfied_by(x) for c in others):
+                open_tie_only += h.strict
+                closed_tie_inside += not h.strict and inside
+    # a tie on an open side is the only reason some points are outside
+    assert open_tie_only and closed_tie_inside
 
 
 def test_homothet_at_unit_scale_equals_translate():
