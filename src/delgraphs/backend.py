@@ -1,5 +1,7 @@
 """The exact kernels: the slack-maximizing simplex and the
-placement-sampling sweep.  Every number in the LP kernel is an integer.
+placement-sampling sweep.  Every number in the LP kernel is an integer;
+the sweep draws integer placements and ``geometry.inside_each`` decides
+each one.
 
 The LP solved here, for constraint rows ``a.x (<|<=) b`` over x in Q^dim:
 
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .geometry import inside_each
 from .rng import SplitMix64
 
 
@@ -202,20 +205,18 @@ def solve_slack_lp(dim, rows):
 def sample_pair_search(shape_rows, points, i, j, homothet, window, trials, seed):
     """Search random placements for one containing exactly points i and j.
 
-    shape_rows: ((ax, ay, b), strict) with integer data (denominators cleared
-    per row).  points: (px, py, pd) integer triples, pd > 0 the shared
-    denominator.  window: (lox, hix, loy, hiy) integer translation bounds.
-    Returns (trial_index, tx_num, ty_num, t_den, lam_num, lam_den) or None.
-
-    A placement (t, lam) contains p iff for every row
-    a.(p - t) <= lam*b (strict rows: <).  With t = (Tx/Td, Ty/Td) and
-    lam = Ln/Ld, clearing denominators gives the integer test
-        b*Ln*Td*pd - Ld*(ax*(px*Td - Tx*pd) + ay*(py*Td - Ty*pd))  >= 0
-    (> 0 on strict rows).
+    shape_rows: ``shape.integer_rows``.  points: (grid, d) from
+    ``geometry.scale_to_integers``.  window: (lox, hix, loy, hiy) integer
+    translation bounds.  Returns (trial_index, tx_num, ty_num, t_den,
+    lam_num, lam_den) or None.  Each drawn placement t = (tx, ty)/t_den,
+    lam = lam_num/lam_den goes to ``geometry.inside_each`` over one
+    denominator, t_den*lam_den; p_i and p_j come first, so a placement
+    that misses one of them stops there.
     """
     lox, hix, loy, hiy = window
     gen = SplitMix64(seed)
-    n = len(points)
+    grid, d = points
+    grid = [grid[i], grid[j], *(p for k, p in enumerate(grid) if k != i and k != j)]
     for trial in range(trials):
         t_den = 1 + gen.below(32)
         tx = lox * t_den + gen.below((hix - lox) * t_den + 1)
@@ -229,28 +230,8 @@ def sample_pair_search(shape_rows, points, i, j, homothet, window, trials, seed)
                 lam_num, lam_den = mant, 8 << (-exp)
         else:
             lam_num, lam_den = 1, 1
-
-        ok = True
-        count = 0
-        for k in range(n):
-            if _contained_int(shape_rows, points[k], tx, ty, t_den, lam_num, lam_den):
-                if k != i and k != j:
-                    ok = False
-                    break
-                count += 1
-            elif k == i or k == j:
-                ok = False
-                break
-        if ok and count == 2:
+        inside = inside_each(shape_rows, grid, d, tx * lam_den, ty * lam_den,
+                             lam_num * t_den, t_den * lam_den)
+        if next(inside) and next(inside) and not any(inside):
             return trial, tx, ty, t_den, lam_num, lam_den
     return None
-
-
-def _contained_int(shape_rows, pt, tx, ty, t_den, lam_num, lam_den):
-    px, py, pd = pt
-    for (ax, ay, b), strict in shape_rows:
-        v = (b * lam_num * t_den * pd
-             - lam_den * (ax * (px * t_den - tx * pd) + ay * (py * t_den - ty * pd)))
-        if v < 0 or (strict and v == 0):
-            return False
-    return True

@@ -155,8 +155,8 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
     solve, whose optimizer lies strictly inside all open constraints.
     The witness is re-checked by direct containment before it is returned.
     """
-    if i == j:
-        raise ValueError("edge endpoints must differ")
+    if not 0 <= min(i, j) < max(i, j) < len(points):
+        raise ValueError(f"need distinct i, j in range({len(points)}): ({i}, {j})")
     i, j = min(i, j), max(i, j)
     mems, outside = _membership_tables(points, shape, mode)
     return _edge_search(points, shape, i, j, mode, mems, outside)

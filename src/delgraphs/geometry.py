@@ -2,7 +2,9 @@
 
 Every coordinate is a ``fractions.Fraction``; every predicate below is an
 exact decision with no rounding anywhere.  These primitives underpin all
-containment, feasibility and planarity checks in the package.
+containment, feasibility and planarity checks in the package; the one
+test of points against a placed shape, ``inside_each``, runs on the
+integer grid that ``scale_to_integers`` puts them on.
 """
 
 from __future__ import annotations
@@ -101,3 +103,19 @@ def scale_to_integers(points: list[Point2]) -> tuple[list[tuple[int, int]], int]
     """
     ints, scale = clear_denominators(c for p in points for c in (p.x, p.y))
     return list(zip(ints[0::2], ints[1::2])), scale
+
+
+def inside_each(rows, grid, d, tx, ty, lam, e):
+    """Lazily, per grid point X/d, whether it lies in lam*C + t, where
+    t = (tx, ty)/e and lam/e need not be reduced and rows are C's
+    ``shape.integer_rows`` (A, B): the test A.(X*e - T*d) <= L*B*d, with
+    an open row's bound lowered by 1 (on integers v < c is v <= c - 1)."""
+    scale = lam * d
+    for x, y in grid:
+        ux, uy = x * e - tx * d, y * e - ty * d
+        for (ax, ay, b), strict in rows:
+            if ax * ux + ay * uy > scale * b - strict:
+                yield False
+                break
+        else:
+            yield True

@@ -21,7 +21,7 @@ from math import ceil, floor
 
 from . import backend
 from .builder import PointSet
-from .geometry import Point2, clear_denominators
+from .geometry import Point2, scale_to_integers
 from .rng import SplitMix64, derive_seed, rational_in_window
 from .shape import (HOMOTHET, MODES, TRANSLATE, ConvexShape, HalfPlane, Placement,
                     integer_rows)
@@ -255,14 +255,6 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
 # Sampling oracle
 # ---------------------------------------------------------------------------
 
-def _integer_points(points: PointSet):
-    out = []
-    for p in points.points:
-        (x, y), d = clear_denominators((p.x, p.y))
-        out.append((x, y, d))
-    return out
-
-
 def translation_window(points: PointSet) -> tuple[int, int, int, int]:
     """Integer translation bounds: the point bounding box padded by one
     full spread (at least 1) on every side."""
@@ -282,10 +274,10 @@ def sample_witness_search(inst: Instance, i: int, j: int, trials: int,
     statistical evidence."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if i == j:
-        raise ValueError("pair endpoints must differ")
+    if not 0 <= min(i, j) < max(i, j) < len(inst.points):
+        raise ValueError(f"need distinct i, j in range({len(inst.points)}): ({i}, {j})")
     hit = backend.sample_pair_search(
-        integer_rows(inst.shape), _integer_points(inst.points),
+        integer_rows(inst.shape), scale_to_integers(list(inst.points.points)),
         i, j, inst.mode == HOMOTHET, translation_window(inst.points),
         trials, seed)
     if hit is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Point2, clear_denominators, scale_to_integers
+from .geometry import Point2, clear_denominators, inside_each, scale_to_integers
 from .region import LinearConstraint
 
 TRANSLATE = "translate"
@@ -66,15 +66,11 @@ def integer_rows(shape: ConvexShape) -> list[tuple[tuple[int, int, int], bool]]:
 def contains_each(shape: ConvexShape, placement: Placement, points) -> list[bool]:
     """Exact test, per point p, for p in lam*C + t: every half-plane must
     satisfy a.(p - t) <= lam*b (strictly on open half-planes).  Decided
-    on integers: with p = X/d on the points' common grid, (t, lam) =
-    (T, L)/e and (a, b) = (A, B)/f, the test is A.(X*e - T*d) <= L*B*d."""
+    on integers by ``geometry.inside_each``, with the points on their
+    common grid and the placement cleared once."""
     grid, d = scale_to_integers(list(points))
     (tx, ty, lam), e = clear_denominators((*placement.translation, placement.scale))
-    # on integers v < c is v <= c - 1, so an open row lowers its bound by 1
-    rows = [(ax, ay, lam * b * d - strict)
-            for (ax, ay, b), strict in integer_rows(shape)]
-    return [all(ax * ux + ay * uy <= bound for ax, ay, bound in rows)
-            for ux, uy in ((x * e - tx * d, y * e - ty * d) for x, y in grid)]
+    return list(inside_each(integer_rows(shape), grid, d, tx, ty, lam, e))
 
 
 def contains(shape: ConvexShape, placement: Placement, p: Point2) -> bool:

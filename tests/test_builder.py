@@ -86,6 +86,12 @@ def test_hint_checks_read_rows_linear_in_n(monkeypatch):
 def test_edge_feasible_same_index_rejected():
     with pytest.raises(ValueError):
         edge_feasible(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, 1, 1, TRANSLATE)
+    # an index outside 0..n-1 is rejected too, not read from the other end
+    inst = generate_bounded_instance(5, 5, 4, HOMOTHET)
+    assert edge_feasible(inst.points, inst.shape, 0, 1, HOMOTHET) is not None
+    for i, j in ((-5, 1), (0, 6), (-1, 0), (0, 5)):
+        with pytest.raises(ValueError):
+            edge_feasible(inst.points, inst.shape, i, j, HOMOTHET)
 
 
 def test_edge_feasible_rechecks_its_witness(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delgraphs import instances, region
+from delgraphs import region
 from delgraphs.geometry import (Point2, Segment, clear_denominators,
                                 convex_hull, on_closed_segment, orient, point,
                                 scale_to_integers)
@@ -135,14 +135,6 @@ def _old_shape_rows(shape):
     return rows
 
 
-def _old_points(points):
-    out = []
-    for p in points.points:
-        d = lcm(p.x.denominator, p.y.denominator)
-        out.append((int(p.x * d), int(p.y * d), d))
-    return out
-
-
 def _old_scale_to_integers(points):
     scale = lcm(1, *(d for p in points for d in (p.x.denominator, p.y.denominator)))
     return [(int(p.x * scale), int(p.y * scale)) for p in points], scale
@@ -155,7 +147,6 @@ def test_integer_forms_match_the_former_inline_formulas():
         pts = list(inst.points.points)
         assert scale_to_integers(pts) == _old_scale_to_integers(pts)
         assert integer_rows(inst.shape) == _old_shape_rows(inst.shape)
-        assert instances._integer_points(inst.points) == _old_points(inst.points)
         for mode in MODES:
             cons = [c for p in pts for c in membership_constraints(inst.shape, p, mode)]
             for c in cons + [region.negate(c) for c in cons]:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,27 @@ def test_sample_search_argument_validation():
         sample_witness_search(inst, 0, 0, 10, seed=0)
     with pytest.raises(ValueError):
         sample_witness_search(inst, 0, 1, 0, seed=0)
+    for i, j in ((0, 99), (-1, 0), (0, 2), (-2, 1)):
+        with pytest.raises(ValueError):
+            sample_witness_search(inst, i, j, 10, seed=0)
+
+
+def test_sample_witness_search_answers_are_pinned():
+    """Every ordered pair of unbounded, strict and bounded instances in
+    both modes; the digest pins the drawn placements and the misses."""
+    insts = [generate_instance(s, 5, 4, m, F(1, 2)) for s in range(6) for m in MODES]
+    insts += [generate_bounded_instance(s, 5, 4, m) for s in range(3) for m in MODES]
+    assert any(len(inst.shape.halfplanes) <= 2 for inst in insts)
+    assert any(h.strict for inst in insts for h in inst.shape.halfplanes)
+    out = []
+    for s, inst in enumerate(insts):
+        n = len(inst.points)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    w = sample_witness_search(inst, i, j, 60, seed=s * 100 + i * n + j)
+                    out.append("-" if w is None else
+                               f"{w.translation[0]} {w.translation[1]} {w.scale}")
+    assert len(out) - out.count("-") == 48
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
+        "847149766c996b12a9d58cc0ad25d6d76ae686080ebf16550a46f773865cf719")

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delgraphs.geometry import Point2, point
+from delgraphs.geometry import (Point2, clear_denominators, inside_each, point,
+                                scale_to_integers)
 from delgraphs.region import contains_point, feasible
 from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                              HalfPlane, Placement, contains, contains_each,
-                             membership_constraints, shape_from_rows)
+                             integer_rows, membership_constraints, shape_from_rows)
 
 F = Fraction
 
@@ -127,6 +128,11 @@ def test_contains_each_decides_ties_like_membership_constraints():
         want = [all(c.satisfied_by(x) for c in membership_constraints(shape, p, HOMOTHET))
                 for p in pts]
         assert contains_each(shape, Placement(t, lam), pts) == want
+        # the placement over an unreduced denominator, as the sampler gives it
+        (tx, ty, lm), e = clear_denominators(x)
+        grid, d = scale_to_integers(pts)
+        assert list(inside_each(integer_rows(shape), grid, d,
+                                6 * tx, 6 * ty, 6 * lm, 6 * e)) == want
         assert [contains(shape, Placement(t, lam), p) for p in pts] == want
         for p, h, inside in zip(pts, tied, want):
             others = [c for c, g in zip(membership_constraints(shape, p, HOMOTHET),
