@@ -56,8 +56,6 @@ every empty LP it is given and Phase II returns the optimizer.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .geometry import inside_each
 from .rng import SplitMix64
 
@@ -186,16 +184,17 @@ def solve_slack_lp(dim, rows):
     """Maximize the strict-constraint slack over integer rows.
 
     rows: sequence of (a: tuple of int, b: int, sigma: int >= 0).
-    Returns (lp_feasible, x: tuple of Fraction or None, s: Fraction or None),
-    (x, s) the exact Bland optimizer of a feasible LP.
+    Returns (lp_feasible, x, s, den): the exact Bland optimizer (x, s) of
+    a feasible LP as integer numerators over the dictionary's ``den`` > 0,
+    x a tuple and s one numerator; (False, None, None, None) when empty.
     """
     lp = _Dictionary(dim, rows)
     if lp.phase_one() < 0:
-        return False, None, None
+        return False, None, None, None
     s = lp.phase_two()
     val = dict(zip(lp.basic, lp.rhs))
-    x = tuple(Fraction(val.get(j, 0) - val.get(dim + j, 0), lp.den) for j in range(dim))
-    return True, x, Fraction(s, lp.den)
+    x = tuple([val.get(j, 0) - val.get(dim + j, 0) for j in range(dim)])
+    return True, x, s, lp.den
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ region the one cell of the first level; each cell is tested only on the
 piece it adds to its parent, and the kernel decides it on the reduced
 cell, one row per primitive normal.  Only the witness solve sees the
 whole leaf: it is a fresh solve of the first cell that survives, so it
-is deterministic.
-This search, ``first_leaf``, also runs the boundary test
-``planarity.on_common_homothet_boundary``.
+is deterministic.  This search, ``first_leaf``, also runs the boundary
+test ``planarity.on_common_homothet_boundary``.
+
+A build clears the shape and grids the points once, makes every row from
+those and re-checks each witness on them; points are the kernel's
+numerators over ``den``, and ``Fraction``s only in an emitted witness.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backend import farkas_certifies
-from .geometry import Point2
+from .geometry import Point2, scale_to_integers
 from .region import complement, feasible, feasible_with_hint, opposed_clash
-from .shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE, ConvexShape,
-                    Placement, contains_each, membership_constraints)
+from .shape import (HOMOTHET, POSITIVE_SCALE, ConvexShape, Placement, contains_each,
+                    integer_rows, membership_constraints)
 
 
 class WitnessVerificationError(AssertionError):
@@ -67,21 +70,19 @@ class GeometricGraph:
         return {(e.i, e.j) for e in self.edges}
 
 
-def _witness_from(x: tuple[Fraction, ...], mode: str) -> Placement:
-    if mode == TRANSLATE:
-        return Placement((x[0], x[1]))  # the shared default scale 1
-    return Placement((x[0], x[1]), x[2])
+def _witness_from(x: tuple[tuple[int, ...], int]) -> Placement:
+    """The placement at x = (numerators, den), of scale 1 if x has no lam."""
+    (tx, ty, *lam), den = x
+    return Placement((Fraction(tx, den), Fraction(ty, den)), *(Fraction(v, den) for v in lam))
 
 
 def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
-    """Per-point membership constraints and the disjoint pieces of their
-    complements, computed once per build so every pair search reuses the
-    same (memoized) rows."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    mems = [tuple(membership_constraints(shape, points[k], mode))
-            for k in range(len(points))]
-    return mems, [complement(mem) for mem in mems]
+    """The build's integer forms, made once: (``integer_rows(shape)``,
+    grid, d) for the witness re-check, and per point its membership rows
+    and the disjoint pieces of their complement for every pair search."""
+    integers = (integer_rows(shape), *scale_to_integers(list(points.points)))
+    mems = membership_constraints(*integers, mode)
+    return integers, mems, [complement(mem) for mem in mems]
 
 
 def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
@@ -122,7 +123,7 @@ def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
 
 
 def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
-                 mode: str, mems, outside) -> Placement | None:
+                 mode: str, integers, mems, outside) -> Placement | None:
     """The witness of edge (i, j), re-checked by direct containment, or
     None; raises ``WitnessVerificationError`` if the re-check fails."""
     base = (*mems[i], *mems[j])
@@ -137,8 +138,8 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
     final = feasible(dim, leaf)
     if final is None:  # the leaf was proved nonempty on the way down
         raise AssertionError("feasible cell became infeasible")
-    w = _witness_from(final, mode)
-    if not verify_witness(points, shape, i, j, w):
+    w = _witness_from(final)
+    if not verify_witness(points, shape, i, j, w, integers):
         raise WitnessVerificationError(
             f"witness for edge ({i},{j}) fails membership re-check: "
             f"t={w.translation} scale={w.scale}")
@@ -158,16 +159,16 @@ def edge_feasible(points: PointSet, shape: ConvexShape, i: int, j: int,
     if not 0 <= min(i, j) < max(i, j) < len(points):
         raise ValueError(f"need distinct i, j in range({len(points)}): ({i}, {j})")
     i, j = min(i, j), max(i, j)
-    mems, outside = _membership_tables(points, shape, mode)
-    return _edge_search(points, shape, i, j, mode, mems, outside)
+    return _edge_search(points, shape, i, j, mode, *_membership_tables(points, shape, mode))
 
 
 def verify_witness(points: PointSet, shape: ConvexShape, i: int, j: int,
-                   w: Placement) -> bool:
+                   w: Placement, integers=None) -> bool:
     """Direct membership re-check: the placed shape must contain exactly
     the two endpoints among all of P.  Decided on integers by
-    ``shape.contains_each``, independent of the search's rows."""
-    flags = contains_each(shape, w, points.points)
+    ``shape.contains_each``, independent of the search's rows, on the
+    build's ``integers`` (None: made here)."""
+    flags = contains_each(shape, w, points.points, integers)
     return {k for k, inside in enumerate(flags) if inside} == {i, j}
 
 
@@ -176,10 +177,10 @@ def build_graph(points: PointSet, shape: ConvexShape, mode: str) -> GeometricGra
     by direct containment before being admitted."""
     edges = []
     n = len(points)
-    mems, outside = _membership_tables(points, shape, mode)
+    tables = _membership_tables(points, shape, mode)
     for i in range(n):
         for j in range(i + 1, n):
-            w = _edge_search(points, shape, i, j, mode, mems, outside)
+            w = _edge_search(points, shape, i, j, mode, *tables)
             if w is not None:
                 edges.append(Edge(i, j, w))
     return GeometricGraph(points, shape, mode, tuple(edges))

@@ -85,11 +85,8 @@ def _read_instance(path: str) -> Instance:
 
 
 def _witness_lines(g) -> str:
-    out = []
-    for e in g.edges:
-        t = e.witness.translation
-        out.append(f"{e.i} {e.j} {t[0]} {t[1]} {e.witness.scale}")
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(f"{e.i} {e.j} {e.witness.translation[0]} {e.witness.translation[1]} "
+                   f"{e.witness.scale}\n" for e in g.edges)
 
 
 def _dump_violation(kind: str, inst: Instance, detail: str = ""):
@@ -109,14 +106,14 @@ def cmd_build(args) -> int:
     except WitnessVerificationError as exc:
         _dump_violation(f"witness-{mode}", dataclasses.replace(inst, mode=mode), str(exc))
         return EXIT_VIOLATION
+    # the files first: a path that cannot be written ends the run with
+    # exit 1 before any edge reaches stdout
+    for path, render in ((args.witnesses, _witness_lines), (args.svg, render_svg)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render(g))
     for e in g.edges:
         print(e.i, e.j)
-    if args.witnesses:
-        with open(args.witnesses, "w", encoding="utf-8") as fh:
-            fh.write(_witness_lines(g))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(g))
     return EXIT_OK
 
 

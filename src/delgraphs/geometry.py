@@ -113,7 +113,7 @@ def inside_each(rows, grid, d, tx, ty, lam, e):
     scale = lam * d
     for x, y in grid:
         ux, uy = x * e - tx * d, y * e - ty * d
-        for (ax, ay, b), strict in rows:
+        for (ax, ay, b), strict, _ in rows:
             if ax * ux + ay * uy > scale * b - strict:
                 yield False
                 break

@@ -1,14 +1,14 @@
 """Plane-graph verification of straight-line drawings, the triangulation
-face check, and exact degeneracy diagnostics.
+face check, and exact degeneracy diagnostics, all on integers: the
+points go on their common grid, which preserves every orientation and
+incidence predicate, and the boundary scan's rows are made from it and
+the cleared shape (``shape.membership_constraints``).
 
 A drawing is a plane graph when (1) no vertex lies on a non-incident
-edge and (2) edges meet only at shared endpoints.  Both conditions are
-checked exhaustively and exactly; to keep the all-pairs scans cheap the
-rational coordinates are first mapped onto a common integer grid, which
-preserves every orientation and incidence predicate.  Two edges that
-meet without crossing properly meet at an endpoint of one of them, on
-the other edge; so condition 2 is the proper crossings plus the pairs
-that a condition-1 incidence at an endpoint links.
+edge and (2) edges meet only at shared endpoints, both checked
+exhaustively.  Two edges that meet without crossing properly meet at an
+endpoint of one of them, on the other edge; so condition 2 is the proper
+crossings plus the pairs a condition-1 incidence at an endpoint links.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .geometry import (Point2, Segment, convex_hull, on_closed_segment,
                        orient, scale_to_integers)
-from .region import LinearConstraint, feasible  # noqa: F401  (bench/tracing.py wraps feasible)
+from .region import LinearConstraint, feasible, halfspace  # noqa: F401  (tracing wraps feasible)
 from .builder import GeometricGraph, first_leaf
 from .shape import (HOMOTHET, POSITIVE_SCALE, ConvexShape, integer_rows,
                     membership_constraints)
@@ -161,15 +161,14 @@ def _boundary_rows(shape: ConvexShape, points) -> list[tuple]:
     a.x == b for each half-plane (its closed row reversed; None when
     open), and its dot products a.p on integers, each half-plane's
     scaled by one positive factor so they compare as a.p does."""
-    grid, _ = scale_to_integers(list(points))
-    normals = [(ax, ay) for (ax, ay, _), _ in integer_rows(shape)]
+    rows = integer_rows(shape)
+    grid, d = scale_to_integers(list(points))
     out = []
-    for p, (x, y) in zip(points, grid):
-        mem = membership_constraints(shape, p, HOMOTHET)
-        tight = [None if h.strict else
-                 (LinearConstraint(tuple(-v for v in c.coeffs), -c.bound),)
-                 for h, c in zip(shape.halfplanes, mem)]
-        out.append((mem, tight, [ax * x + ay * y for ax, ay in normals]))
+    for mem, (x, y) in zip(membership_constraints(rows, grid, d, HOMOTHET), grid):
+        tight = [None if c.strict else
+                 (halfspace(tuple([-v for v in c.row[0]]), -c.row[1], False, c.scale),)
+                 for c in mem]
+        out.append((mem, tight, [ax * x + ay * y for (ax, ay, _), _, _ in rows]))
     return out
 
 

@@ -1,67 +1,60 @@
-"""Convex cells of Q^d, each a tuple of linear constraints with
-strictness flags, and exact feasibility decisions with witnesses.
+"""Convex cells of Q^d, each a tuple of linear constraints on integers,
+and exact feasibility decisions with witnesses.  A constraint is an
+integer row, made once (``halfspace``; ``constraint`` clears rationals),
+and a point is (numerators, den), den > 0, the form of the LP optimizer.
 
 Feasibility is decided by maximizing a shared slack variable s over the
 cell with every strict constraint tightened by s (see ``backend`` for the
 LP statement): the cell is nonempty iff the LP is feasible and, when
 strict constraints are present, the optimal s is positive.  The LP
 optimizer's x doubles as the witness; by construction it sits strictly
-inside every open half-space, so downstream membership checks on it are
-plain exact comparisons.
+inside every open half-space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from . import backend
 from .geometry import clear_denominators
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """coeffs . x <= bound, or < bound when strict."""
+class LinearConstraint(NamedTuple):
+    """a.x <= b, or < b when strict.  ``row`` is the kernel's (a, b, sigma):
+    the rational row times ``scale``, the lcm of its denominators, and
+    sigma that scale on strict rows, else 0.  ``pair_key`` is (n, -n, b, g)
+    for the row as g*n.x <= b, n primitive, as ``opposed_clash`` files it."""
 
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-    strict: bool = False
+    row: tuple[tuple[int, ...], int, int]
+    strict: bool
+    scale: int
+    pair_key: tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-    def __post_init__(self):
-        if not any(self.coeffs):
-            raise ValueError("constraint normal must be nonzero")
 
-    def satisfied_by(self, x: tuple[Fraction, ...]) -> bool:
-        v = sum(c * xi for c, xi in zip(self.coeffs, x))
-        return v < self.bound if self.strict else v <= self.bound
-
-    @cached_property
-    def row(self) -> tuple[tuple[int, ...], int, int]:
-        """Denominator-cleared (a, b, sigma): a.x <= b scaled by the
-        clearing factor, sigma that factor on strict rows and 0 otherwise."""
-        ints, scale = clear_denominators(self.coeffs + (self.bound,))
-        return ints[:-1], ints[-1], scale if self.strict else 0
-
-    @cached_property
-    def pair_key(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        """(n, -n, b, g) for ``row`` read as g*n.x <= b, n primitive: what
-        the opposed-pair table (``opposed_clash``) files and compares rows by."""
-        a, b, _ = self.row
-        g = gcd(*a)
-        n = tuple([c // g for c in a])
-        return n, tuple([-c for c in n]), b, g
+def halfspace(a: tuple[int, ...], b: int, strict: bool, scale: int) -> LinearConstraint:
+    """The constraint a.x <= b (< b when strict), (a, b) its rational row
+    times ``scale``, the lcm of that row's denominators."""
+    g = gcd(*a)
+    if not g:
+        raise ValueError("constraint normal must be nonzero")
+    n = tuple([c // g for c in a])
+    return LinearConstraint((a, b, scale if strict else 0), strict, scale,
+                            (n, tuple([-c for c in n]), b, g))
 
 
 def constraint(coeffs, bound, strict=False) -> LinearConstraint:
-    return LinearConstraint(tuple(Fraction(c) for c in coeffs), Fraction(bound), strict)
+    """coeffs.x <= bound (< bound when strict) over rationals, cleared once."""
+    ints, scale = clear_denominators([Fraction(v) for v in (*coeffs, bound)])
+    return halfspace(ints[:-1], ints[-1], strict, scale)
 
 
 def negate(c: LinearConstraint) -> LinearConstraint:
     """Complement half-space: not(a.x <= b) is a.x > b, i.e. -a.x < -b,
-    and not(a.x < b) is -a.x <= -b.  Strictness flips."""
-    return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, not c.strict)
+    and not(a.x < b) is -a.x <= -b.  Strictness flips; the scale stays."""
+    a, b, _ = c.row
+    return halfspace(tuple([-v for v in a]), -b, not c.strict, c.scale)
 
 
 def complement(cs) -> tuple[tuple[LinearConstraint, ...], ...]:
@@ -69,29 +62,29 @@ def complement(cs) -> tuple[tuple[LinearConstraint, ...], ...]:
     return tuple(cs[:m] + (negate(c),) for m, c in enumerate(cs))
 
 
-def contains_point(constraints, x: tuple[Fraction, ...]) -> bool:
-    """Exact membership test of x in the cell cut out by ``constraints``,
-    on the denominator-cleared rows."""
-    nums, d = clear_denominators(x)
+def contains_point(constraints, x: tuple[tuple[int, ...], int]) -> bool:
+    """Exact membership test of x = (numerators, den) in the cell cut out
+    by ``constraints``: a.nums <= b*den, strictly on strict rows."""
+    nums, d = x
     for c in constraints:
         a, b, sigma = c.row
-        v = sum(ai * xi for ai, xi in zip(a, nums))
+        v = sum([ai * xi for ai, xi in zip(a, nums)])
         bd = b * d
         if v > bd or (sigma and v == bd):
             return False
     return True
 
 
-def feasible(dim: int, constraints) -> tuple[Fraction, ...] | None:
+def feasible(dim: int, constraints) -> tuple[tuple[int, ...], int] | None:
     """Exact emptiness decision for the cell of Q^dim cut out by the tuple
     ``constraints``: None when it is empty, otherwise the slack LP's
-    optimizer, a witness strictly inside all of its open half-spaces."""
-    if any(len(c.coeffs) != dim for c in constraints):
+    optimizer (numerators, den), strictly inside all its open half-spaces."""
+    if any(len(c.row[0]) != dim for c in constraints):
         raise ValueError("constraint dimension mismatch")
-    ok, x, s = backend.solve_slack_lp(dim, [c.row for c in constraints])
+    ok, x, s, den = backend.solve_slack_lp(dim, [c.row for c in constraints])
     if not ok or (s == 0 and any(c.strict for c in constraints)):
         return None
-    return x
+    return x, den
 
 
 def opposed_clash(table: dict, piece):
@@ -119,7 +112,7 @@ def opposed_clash(table: dict, piece):
     return None
 
 
-def feasible_with_hint(dim: int, cell, piece, hint) -> tuple[Fraction, ...] | None:
+def feasible_with_hint(dim: int, cell, piece, hint) -> tuple[tuple[int, ...], int] | None:
     """``hint`` if it lies in ``piece``: a point of the parent cell, it then
     lies in the parent cut by ``piece``, the cell the rows ``cell`` cut
     out.  Otherwise ``feasible(dim, cell)``."""

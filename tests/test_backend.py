@@ -49,6 +49,26 @@ def _clash(rows):
                                      for a, b, sigma in rows if any(a)])
 
 
+def _answer(answer):
+    """A kernel answer (ok, x, s, den), numerators over den, as the values
+    it stands for: (ok, x as ``Fraction``s, s), (False, None, None) when
+    empty."""
+    ok, x, s, den = answer
+    if not ok:
+        return False, None, None
+    return True, _fractions((x, den)), Fraction(s, den)
+
+
+def _fractions(x):
+    """A point (numerators, den) as ``Fraction``s."""
+    nums, den = x
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _solve(dim, rows):
+    return _answer(backend.solve_slack_lp(dim, rows))
+
+
 @pytest.fixture
 def solve():
     """``solve_slack_lp``, the simplex alone, with the exit that decides
@@ -57,7 +77,7 @@ def solve():
     def run(dim, rows):
         cert = _clash(rows)
         exit = "pair" if cert and backend.farkas_certifies(*cert) else "exact"
-        return backend.solve_slack_lp(dim, rows), exit
+        return _solve(dim, rows), exit
     return run
 
 
@@ -66,7 +86,7 @@ def test_optimum_matches_bruteforce_oracle(dim, base, count):
     rng = random.Random(4881 + dim)
     for _ in range(count):
         rows = _random_rows(rng, dim, base)
-        ok, x, s = backend.solve_slack_lp(dim, rows)
+        ok, x, s = _solve(dim, rows)
         _, best = oracle_feasible(rows, dim)
         assert ok == (best is not None), rows
         if not ok:
@@ -125,7 +145,7 @@ def _run_pinned(monkeypatch):
 
     def recording(dim, rows):
         answer = solve(dim, rows)
-        log.append(repr((dim, list(rows), answer)))
+        log.append(repr((dim, list(rows), _answer(answer))))
         return answer
 
     def pin():
@@ -291,7 +311,7 @@ def test_kernel_sees_reduced_cells_and_the_witness_solve_the_whole_leaf(monkeypa
             assert len(edges) == len(leaves)
             witnesses += len(edges)
             for edge, (dim, leaf) in zip(edges, leaves):
-                assert edge.witness == builder._witness_from(region.feasible(dim, leaf), mode)
+                assert edge.witness == builder._witness_from(region.feasible(dim, leaf))
     most = 2 * len(PINNED_BOUNDARY.shape.halfplanes) + 1
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)
@@ -339,16 +359,16 @@ def test_zero_normal_rows():
     b < 0 Phase I finds it empty, else it is no constraint."""
     rows = [((0, 0), -1, 0)]
     assert backend.farkas_certifies(rows, (1,))
-    assert backend.solve_slack_lp(2, rows) == (False, None, None)
+    assert _solve(2, rows) == (False, None, None)
     rows = [((0, 0), 0, 1)]
-    assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 0)
+    assert _solve(2, rows) == (True, (0, 0), 0)
 
 
 def _zero_slack(dim, cs):
     """The optimizer of the closed cell, which asks no slack and so may
     sit on an open row's boundary, where it lies in ``cs``; otherwise the
     optimizer of the reversed rows."""
-    x = region.feasible(dim, tuple(region.LinearConstraint(c.coeffs, c.bound) for c in cs))
+    x = region.feasible(dim, tuple(region.halfspace(*c.row[:2], False, c.scale) for c in cs))
     return x if region.contains_point(cs, x) else region.feasible(dim, cs[::-1])
 
 
@@ -382,7 +402,7 @@ def test_other_points_change_no_witness(monkeypatch, name):
             return None
         other = OTHER_POINTS[name](dim, cs)
         assert region.contains_point(cs, other), cs
-        seen.append(point != other)
+        seen.append(_fractions(point) != _fractions(other))
         return other
 
     monkeypatch.setattr(builder, "feasible_with_hint", replaced)
@@ -491,16 +511,16 @@ def test_ratio_test_is_exact_beyond_float_precision():
     K = 2 ** 60
     for rows in ([((1, 0), K + 1, K), ((0, 1), 1, 0)],
                  [((K, -K), K + 1, K), ((-1, 0), 0, 0), ((0, 1), 0, 0)]):
-        assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 1)
+        assert _solve(2, rows) == (True, (0, 0), 1)
         _assert_matches_oracle(2, rows)
     # a true tie with numerators above 2**53 goes to the lowest basic id
     rows = [((1, 0), K + 1, K + 1), ((0, 1), K - 1, K - 1), ((-1, -1), 0, 0)]
-    assert backend.solve_slack_lp(2, rows) == (True, (0, 0), 1)
+    assert _solve(2, rows) == (True, (0, 0), 1)
     # Phase I's first pivot makes aux, the highest id, basic in row 0, and
     # its next ratio test ties row 0 with row 1: keeping the first tied
     # row instead of the lowest basic id ends on another vertex
     rows = [((2 * K, K), -2 * K, K), ((K, 0), -K, 0)]
-    assert backend.solve_slack_lp(2, rows) == (True, (-1, -1), 1)
+    assert _solve(2, rows) == (True, (-1, -1), 1)
     _assert_matches_oracle(2, rows)
 
 
@@ -516,7 +536,7 @@ def test_huge_data_is_decided_by_the_integer_dictionary(digits):
         dim = rng.choice((2, 2, 3))
         rows = [(tuple(c * big + rng.randint(-9, 9) for c in a), b * big + rng.randint(-9, 9), sigma)
                 for a, b, sigma in _random_rows(rng, dim, 3)]
-        ok, x, s = backend.solve_slack_lp(dim, rows)
+        ok, x, s = _solve(dim, rows)
         nonempty, best = oracle_feasible(rows, dim)
         assert ok == (best is not None) and s == best, rows
         strict = any(sigma for _, _, sigma in rows)
@@ -617,7 +637,7 @@ def test_opposed_pair_takes_the_tightest_pair(solve):
 
 
 def _assert_matches_oracle(dim, rows):
-    ok, x, s = backend.solve_slack_lp(dim, rows)
+    ok, x, s = _solve(dim, rows)
     _, best = oracle_feasible(rows, dim)
     assert ok == (best is not None) and s == best
 
@@ -650,7 +670,7 @@ def test_oracle_box_follows_the_data():
     # Every point of this LP has x_0 >= H > 2**200: a fixed box of 2**200
     # cut them all away and made the oracle call it infeasible.
     rows = [((-1, H), H, 1), ((1, -H), H, 0), ((-1, 0), -H, 1), ((-H, 1), -H, 0)]
-    assert backend.solve_slack_lp(2, rows) == (True, (H + 1, Fraction(1, H)), 1)
+    assert _solve(2, rows) == (True, (H + 1, Fraction(1, H)), 1)
     assert oracle_feasible(rows, 2) == (True, 1)
 
 

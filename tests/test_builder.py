@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from delgraphs import builder, planarity, region, shape
+from delgraphs import builder, geometry, planarity, region, shape
 from delgraphs.builder import (Edge, GeometricGraph, PointSet,
                                WitnessVerificationError, build_graph,
                                edge_feasible, is_subgraph, verify_witness)
@@ -120,12 +120,50 @@ def test_verify_witness_reads_no_search_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("the re-check read the search's rows")
 
+    P = PointSet((point(0, 0), point(F(1, 2), 0), point(2, 0)))
+    integers = builder._membership_tables(P, RIGHT_OPEN_SQUARE, TRANSLATE)[0]
     for module in (builder, shape):
         monkeypatch.setattr(module, "membership_constraints", refuse)
-    monkeypatch.setattr(region.LinearConstraint, "row", property(refuse))
-    P = PointSet((point(0, 0), point(F(1, 2), 0), point(2, 0)))
-    assert verify_witness(P, RIGHT_OPEN_SQUARE, 0, 1, Placement((F(0), F(0))))
-    assert not verify_witness(P, RIGHT_OPEN_SQUARE, 0, 2, Placement((F(0), F(0))))
+    for module in (region, shape):
+        monkeypatch.setattr(module, "halfspace", refuse)
+    monkeypatch.setattr(region.LinearConstraint, "__new__", refuse)
+    for args in ((), (integers,)):  # alone, and on the build's integer forms
+        assert verify_witness(P, RIGHT_OPEN_SQUARE, 0, 1, Placement((F(0), F(0))), *args)
+        assert not verify_witness(P, RIGHT_OPEN_SQUARE, 0, 2, Placement((F(0), F(0))), *args)
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_search_does_no_fraction_arithmetic(monkeypatch):
+    """Builds and a boundary scan run on integers: no ``Fraction`` is
+    added, subtracted, multiplied, divided or negated.  Denominators are
+    cleared once per half-plane of the shape, once for the points' grid
+    and once per witness placement."""
+    builds = [generate_instance(9, 8, 5, TRANSLATE, F(1, 3)),
+              generate_bounded_instance(116, 8, 6, TRANSLATE)]
+    scan = generate_bounded_instance(7036, 6, 4, HOMOTHET)
+    assert any(h.strict for h in builds[0].shape.halfplanes)
+    ops, cleared = [], []
+    for name in FRACTION_OPS:
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, name=name, op=op: ops.append(name) or op(*args))
+    clear = shape.clear_denominators
+    for module in (geometry, region, shape):
+        monkeypatch.setattr(module, "clear_denominators",
+                            lambda values: cleared.append(values) or clear(values))
+    want = 0
+    for inst in builds:
+        for mode in (TRANSLATE, HOMOTHET):
+            edges = build_graph(inst.points, inst.shape, mode).edges
+            want += len(inst.shape.halfplanes) + 1 + len(edges)
+            assert edges
+    assert find_boundary_degeneracy(scan.points.points, scan.shape) == (1, 2, 3, 5)
+    want += len(scan.shape.halfplanes) + 1
+    assert ops == []
+    assert len(cleared) == want
 
 
 def test_build_graph_single_point():

@@ -44,6 +44,18 @@ def test_build_prints_edges(capsys, good_file):
     assert out.splitlines() == ["0 1", "0 2", "1 3", "2 3"]
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--witnesses"])
+def test_build_prints_nothing_when_a_file_cannot_be_written(tmp_path, capsys,
+                                                            good_file, flag):
+    """The edge list goes to stdout only after the files are written, so
+    a path that cannot be written leaves stdout empty."""
+    bad = tmp_path / "no-such-dir" / "out"
+    assert main(["build", "--input", good_file, flag, str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write {bad}: No such file or directory"]
+
+
 def test_build_mode_override(capsys, good_file):
     assert main(["build", "--input", good_file, "--mode", "translate"]) == 0
     assert capsys.readouterr().out == ""  # unit square holds no far pairs

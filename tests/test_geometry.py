@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delgraphs import region
+from delgraphs import planarity, region
 from delgraphs.geometry import (Point2, Segment, clear_denominators,
                                 convex_hull, on_closed_segment, orient, point,
                                 scale_to_integers)
 from delgraphs.instances import generate_bounded_instance, generate_instance
-from delgraphs.shape import (HOMOTHET, MODES, TRANSLATE, integer_rows,
+from delgraphs.shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE,
+                             ConvexShape, HalfPlane, integer_rows,
                              membership_constraints)
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=8)
@@ -120,18 +122,12 @@ def test_clear_denominators_of_nothing_is_scale_1():
     assert clear_denominators([]) == ((), 1)
 
 
-def _old_int_row(c):
-    scale = lcm(*(v.denominator for v in c.coeffs), c.bound.denominator)
-    a = tuple(int(v * scale) for v in c.coeffs)
-    return (a, int(c.bound * scale), scale if c.strict else 0)
-
-
 def _old_shape_rows(shape):
     rows = []
     for h in shape.halfplanes:
         scale = lcm(h.a[0].denominator, h.a[1].denominator, h.b.denominator)
         rows.append(((int(h.a[0] * scale), int(h.a[1] * scale), int(h.b * scale)),
-                     h.strict))
+                     h.strict, scale))
     return rows
 
 
@@ -147,7 +143,74 @@ def test_integer_forms_match_the_former_inline_formulas():
         pts = list(inst.points.points)
         assert scale_to_integers(pts) == _old_scale_to_integers(pts)
         assert integer_rows(inst.shape) == _old_shape_rows(inst.shape)
+
+
+def _fraction_row(coeffs, bound, strict):
+    """The row by the ``Fraction`` route: the rationals cleared together,
+    sigma the clearing factor on a strict row and 0 otherwise."""
+    ints, scale = clear_denominators(coeffs + (bound,))
+    return ints[:-1], ints[-1], scale if strict else 0
+
+
+def _pair_key(row):
+    a, b, _ = row
+    g = gcd(*a)
+    n = tuple(c // g for c in a)
+    return n, tuple(-c for c in n), b, g
+
+
+def _rescaled(inst, rng):
+    """The same shape, each half-plane times a positive rational, so the
+    normals have denominators too."""
+    return ConvexShape(tuple(
+        HalfPlane((h.a[0] * m, h.a[1] * m), h.b * m, h.strict)
+        for h in inst.shape.halfplanes
+        for m in [Fraction(rng.randint(1, 9), rng.randint(1, 9))]))
+
+
+def test_integer_rows_match_the_fraction_route():
+    """Every row the search makes on integers, membership rows in both
+    modes, their complement pieces, the boundary scan's tight rows and
+    ``POSITIVE_SCALE``, is the row of its rational form cleared by
+    ``clear_denominators``, and its ``pair_key`` that row's."""
+    rng = random.Random(4881)
+    insts = [generate_instance(s, 7, 5, TRANSLATE, Fraction(1, 2)) for s in range(30)]
+    insts += [generate_bounded_instance(s, 7, 5, HOMOTHET) for s in range(6)]
+    cases = [(inst.points.points, inst.shape) for inst in insts]
+    cases += [(inst.points.points, _rescaled(inst, rng)) for inst in insts[::3]]
+    shapes = [shape for _, shape in cases]
+    assert any(len(s.halfplanes) <= 2 for s in shapes)  # unbounded
+    assert any(h.strict for s in shapes for h in s.halfplanes)
+    assert max(c.denominator for p, _ in cases for q in p for c in (q.x, q.y)) == 8
+    assert any(h.a[0].denominator > 1 for s in shapes for h in s.halfplanes)
+    rows = 0
+    for pts, shape in cases:
+        grid, d = scale_to_integers(list(pts))
         for mode in MODES:
-            cons = [c for p in pts for c in membership_constraints(inst.shape, p, mode)]
-            for c in cons + [region.negate(c) for c in cons]:
-                assert c.row == _old_int_row(c)
+            mems = membership_constraints(integer_rows(shape), grid, d, mode)
+            for p, mem in zip(pts, mems):
+                negated = []
+                for h, c in zip(shape.halfplanes, mem):
+                    coeffs = (-h.a[0], -h.a[1]) + ((-h.b,) if mode == HOMOTHET else ())
+                    bound = (h.b if mode == TRANSLATE else 0) - h.a[0] * p.x - h.a[1] * p.y
+                    want = _fraction_row(coeffs, bound, h.strict)
+                    assert (c.row, c.strict, c.pair_key) == (want, h.strict, _pair_key(want))
+                    negated.append(_fraction_row(tuple(-v for v in coeffs), -bound,
+                                                 not h.strict))
+                    rows += 1
+                for m, piece in enumerate(region.complement(mem)):
+                    assert piece[:m] == mem[:m] and len(piece) == m + 1
+                    assert (piece[m].row, piece[m].pair_key) == (
+                        negated[m], _pair_key(negated[m]))
+        for p, (mem, tight, _) in zip(pts, planarity._boundary_rows(shape, pts)):
+            for h, c, t in zip(shape.halfplanes, mem, tight):
+                if h.strict:
+                    assert t is None
+                    continue
+                bound = h.a[0] * p.x + h.a[1] * p.y
+                want = _fraction_row((h.a[0], h.a[1], h.b), bound, False)
+                assert [(r.row, r.strict, r.pair_key) for r in t] == [
+                    (want, False, _pair_key(want))]
+    assert rows > 2000
+    want = _fraction_row((Fraction(0), Fraction(0), Fraction(-1)), Fraction(0), True)
+    assert (POSITIVE_SCALE.row, POSITIVE_SCALE.pair_key) == (want, _pair_key(want))

@@ -187,7 +187,7 @@ def test_generator_validates_arguments():
 
 
 def test_bounded_generator_is_bounded_closed_nonempty():
-    from delgraphs.region import LinearConstraint
+    from delgraphs.region import constraint
     for seed in range(40):
         inst = generate_bounded_instance(seed, 4, 5, HOMOTHET)
         assert all(not h.strict for h in inst.shape.halfplanes)
@@ -196,9 +196,9 @@ def test_bounded_generator_is_bounded_closed_nonempty():
         # bounded iff the recession cone {x : a_i . x <= 0 for all i} is {0}:
         # no unit step in any probe direction may stay inside the cone
         rec = tuple(
-            LinearConstraint(h.a, F(0), False) for h in inst.shape.halfplanes)
+            constraint(h.a, 0) for h in inst.shape.halfplanes)
         for d in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)):
-            probe = rec + (LinearConstraint((F(-d[0]), F(-d[1])), F(-1), False),)
+            probe = rec + (constraint((-d[0], -d[1]), -1),)
             assert feasible(2, probe) is None
 
 

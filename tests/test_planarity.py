@@ -14,9 +14,9 @@ from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import (collinear_triples, find_boundary_degeneracy,
                                  on_common_homothet_boundary,
                                  triangulation_check, verify_plane)
-from delgraphs.region import LinearConstraint, feasible
+from delgraphs.region import constraint, feasible
 from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, Placement,
-                             membership_constraints, shape_from_rows)
+                             shape_from_rows)
 
 F = Fraction
 
@@ -243,19 +243,23 @@ def boundary_by_all_assignments(points, shape, quad) -> bool:
     """Reference for on_common_homothet_boundary with no pre-filter: some
     choice of one tight half-plane per point leaves the homothet system
     nonempty.  All k^len(quad) choices are tried; a choice whose prefix
-    is already empty is skipped, since more rows cannot make it nonempty."""
-    mems = [membership_constraints(shape, points[i], HOMOTHET) for i in quad]
-    rows = (POSITIVE_SCALE,) + tuple(c for m in mems for c in m)
+    is already empty is skipped, since more rows cannot make it nonempty.
+    The rows are made here from the rationals: p is in the homothet iff
+    -a.t - b*lam <= -a.p, and tight on a side iff also a.t + b*lam <= a.p."""
+    def dot(h, p):
+        return h.a[0] * p.x + h.a[1] * p.y
 
-    def tight(c):
-        return LinearConstraint(tuple(-v for v in c.coeffs), -c.bound, False)
+    mems = [[constraint((-h.a[0], -h.a[1], -h.b), -dot(h, points[i]), h.strict)
+             for h in shape.halfplanes] for i in quad]
+    tights = [[constraint((h.a[0], h.a[1], h.b), dot(h, points[i]))
+               for h in shape.halfplanes] for i in quad]
+    rows = (POSITIVE_SCALE,) + tuple(c for m in mems for c in m)
 
     def search(cell, depth):
         if feasible(3, cell) is None:
             return False
         return depth == len(mems) or any(
-            search(cell + (tight(c),), depth + 1)
-            for c in mems[depth])
+            search(cell + (t,), depth + 1) for t in tights[depth])
 
     return bool(shape.halfplanes) and search(rows, 0)
 
@@ -301,12 +305,12 @@ def test_boundary_scan_makes_each_points_rows_once(monkeypatch):
     made, quads = [], []
     rows_of, test = planarity.membership_constraints, planarity.on_common_homothet_boundary
     monkeypatch.setattr(planarity, "membership_constraints",
-                        lambda *args: made.append(args[1]) or rows_of(*args))
+                        lambda *args: made.extend(args[1]) or rows_of(*args))
     monkeypatch.setattr(planarity, "on_common_homothet_boundary",
                         lambda *args: quads.append(args[2]) or test(*args))
     assert find_boundary_degeneracy(pts, CLOSED_UNIT_SQUARE) is None
     assert len(quads) == 15  # no quad is degenerate, so every one is tried
-    assert made == list(pts)  # 6 row builds, not 4 per quad
+    assert made == scale_to_integers(list(pts))[0]  # 6 row builds, not 4 per quad
 
 
 def count_feasible_calls(monkeypatch) -> list:

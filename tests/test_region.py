@@ -6,16 +6,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delgraphs import backend
-from delgraphs.region import (LinearConstraint, complement, constraint,
-                              contains_point, feasible, feasible_with_hint,
-                              negate, opposed_clash)
+from delgraphs.geometry import clear_denominators
+from delgraphs.region import (complement, constraint, contains_point, feasible,
+                              feasible_with_hint, negate, opposed_clash)
 from oracle_lp import oracle_feasible
 
 F = Fraction
 
 
+def _fractions(x):
+    """A point (numerators, den) as ``Fraction``s; None stays None."""
+    return x and tuple(F(v, x[1]) for v in x[0])
+
+
 def feasible2(*cons):
-    return feasible(2, tuple(cons))
+    return _fractions(feasible(2, tuple(cons)))
+
+
+def holds(c, x) -> bool:
+    """Whether the rational point x satisfies constraint c, decided on
+    its integer row."""
+    return contains_point((c,), clear_denominators(x))
+
+
+def holds_rational(a, b, strict, x) -> bool:
+    """a.x <= b (< b when strict) in ``Fraction``s, the reference."""
+    v = sum(ai * xi for ai, xi in zip(a, x))
+    return v < b if strict else v <= b
 
 
 def test_feasible_contradictory_bounds_empty():
@@ -30,7 +47,7 @@ def test_feasible_open_strip_witness_and_slack():
             ((F(0), F(-1)), F(0), False), ((F(0), F(1)), F(0), False)]
     ora_ok, ora_slack = oracle_feasible(cons)
     assert ora_ok and ora_slack == F(1, 2)
-    assert feasible2(*(LinearConstraint(a, b, s) for a, b, s in cons)) \
+    assert feasible2(*(constraint(a, b, s) for a, b, s in cons)) \
         == (F(1, 2), F(0))
 
 
@@ -64,12 +81,11 @@ def test_witness_round_trip_randomized():
                  F(rng.randint(-4, 4), rng.randint(1, 3)))
             if not any(a):
                 a = (F(1), F(0))
-            cons.append(LinearConstraint(a, F(rng.randint(-6, 6), rng.randint(1, 4)),
-                                         rng.random() < 0.4))
-        x = feasible2(*cons)
+            cons.append((a, F(rng.randint(-6, 6), rng.randint(1, 4)), rng.random() < 0.4))
+        x = feasible2(*(constraint(*c) for c in cons))
         if x is not None:
             for c in cons:
-                assert c.satisfied_by(x)
+                assert holds_rational(*c, x)
 
 
 def test_feasible_matches_bruteforce_oracle():
@@ -82,7 +98,7 @@ def test_feasible_matches_bruteforce_oracle():
                 a = (F(0), F(1))
             cons.append((a, F(rng.randint(-7, 7), rng.randint(1, 2)),
                          rng.random() < 0.5))
-        x = feasible2(*(LinearConstraint(a, b, s) for a, b, s in cons))
+        x = feasible2(*(constraint(a, b, s) for a, b, s in cons))
         ora, _ = oracle_feasible(cons)
         assert (x is not None) == ora, cons
 
@@ -101,16 +117,17 @@ def _point_maybe_on_a_row(rows, u, v, data):
 
 
 @given(st.lists(halfplanes, max_size=5), frac, frac, st.data())
-def test_contains_point_agrees_with_satisfied_by(rows, u, v, data):
-    cons = [LinearConstraint(a, b, strict) for a, b, strict in rows]
+def test_contains_point_agrees_with_rational_rows(rows, u, v, data):
+    cons = [constraint(a, b, strict) for a, b, strict in rows]
     x = _point_maybe_on_a_row(rows, u, v, data)
-    assert contains_point(tuple(cons), x) == all(c.satisfied_by(x) for c in cons)
+    assert contains_point(tuple(cons), clear_denominators(x)) \
+        == all(holds_rational(*row, x) for row in rows)
 
 
 @given(st.lists(halfplanes, max_size=5), frac, frac, st.data())
 def test_complement_pieces_partition_the_space(rows, u, v, data):
-    cell = tuple(LinearConstraint(a, b, strict) for a, b, strict in rows)
-    x = _point_maybe_on_a_row(rows, u, v, data)
+    cell = tuple(constraint(a, b, strict) for a, b, strict in rows)
+    x = clear_denominators(_point_maybe_on_a_row(rows, u, v, data))
     pieces = (cell, *complement(cell))
     assert sum(contains_point(piece, x) for piece in pieces) == 1
 
@@ -118,8 +135,11 @@ def test_complement_pieces_partition_the_space(rows, u, v, data):
 def test_negate_strictness_duality():
     c = constraint((2, -3), 5)
     nc = negate(c)
-    assert nc.strict and nc.coeffs == (F(-2), F(3)) and nc.bound == F(-5)
+    assert nc.strict and nc == constraint((-2, 3), -5, True)
     assert negate(nc) == c
+    h = constraint((F(2, 3), -3), F(5, 2))  # scale 6: the strict row's sigma
+    assert negate(h) == constraint((F(-2, 3), 3), F(-5, 2), True)
+    assert negate(h).row == ((-4, 18), -15, 6)
     s = constraint((1, 1), 0, strict=True)
     ns = negate(s)
     assert not ns.strict
@@ -133,7 +153,8 @@ def test_negate_partitions_plane():
     for _ in range(200):
         x = (F(rng.randint(-40, 40), rng.randint(1, 5)),
              F(rng.randint(-40, 40), rng.randint(1, 5)))
-        assert c.satisfied_by(x) != nc.satisfied_by(x)
+        assert holds(c, x) != holds(nc, x)
+        assert holds(c, x) == holds_rational((3, -2), F(7, 3), True, x)
 
 
 def test_zero_normal_rejected():
@@ -156,10 +177,10 @@ def test_feasible_with_hint_agrees_with_feasible():
             a = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
             if not any(a):
                 a = (F(1), F(1))
-            cons.append(LinearConstraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
-        hint = (F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2))
+            cons.append(constraint(a, F(rng.randint(-5, 5)), rng.random() < 0.4))
+        hint = ((rng.randint(-4, 4), rng.randint(-4, 4)), 2)
         cut = rng.randint(0, len(cons) - 1)
-        parent = tuple(c for c in cons[:cut] if c.satisfied_by(hint))
+        parent = tuple(c for c in cons[:cut] if contains_point((c,), hint))
         piece = tuple(cons[cut:])
         cell = parent + piece
         point = feasible_with_hint(2, cell, piece, hint)
@@ -182,7 +203,7 @@ def test_zero_slack_on_a_strict_row_is_empty(dim, cell):
     rows = [c.row for c in cell]
     assert opposed_clash({}, cell) is None
     assert backend.solve_slack_lp(dim, rows)[::2] == (True, 0)
-    hint = (F(1),) * dim
+    hint = (1,) * dim, 1
     assert not contains_point(cell, hint)
     assert feasible_with_hint(dim, cell, cell, hint) is None  # the parent is Q^dim
 
@@ -205,11 +226,12 @@ def _points_on_and_off(rng, cs):
     """Random rational points, and points on the boundary line of each
     row, where a strict row and a closed one differ."""
     for _ in range(10):
-        yield F(rng.randint(-8, 8), rng.randint(1, 3)), F(rng.randint(-8, 8), rng.randint(1, 3))
+        yield clear_denominators((F(rng.randint(-8, 8), rng.randint(1, 3)),
+                                  F(rng.randint(-8, 8), rng.randint(1, 3))))
     for c in cs:
-        (a0, a1), b = c.coeffs, c.bound
+        (a0, a1), b, _ = c.row
         u = F(rng.randint(-8, 8), rng.randint(1, 3))
-        yield ((b - a1 * u) / a0, u) if a0 else (u, (b - a0 * u) / a1)
+        yield clear_denominators(((b - a1 * u) / a0, u) if a0 else (u, (b - a0 * u) / a1))
 
 
 def test_opposed_pair_table_cuts_out_the_same_cell():

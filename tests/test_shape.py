@@ -14,6 +14,16 @@ from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, ConvexShape,
 
 F = Fraction
 
+
+def rows_of(shape, p, mode):
+    """The membership rows of the one point p."""
+    return membership_constraints(integer_rows(shape), *scale_to_integers([p]), mode)[0]
+
+
+def satisfied(cons, x) -> bool:
+    """Whether the rational point x satisfies every constraint of cons."""
+    return contains_point(cons, clear_denominators(x))
+
 CLOSED_UNIT_SQUARE = shape_from_rows([
     (1, 0, 1, False), (-1, 0, 0, False), (0, 1, 1, False), (0, -1, 0, False)])
 OPEN_UNIT_SQUARE = shape_from_rows([
@@ -40,32 +50,31 @@ def test_placement_scale_positive():
 
 def test_membership_constraints_translate_square():
     # the feasible t-region for p=(0,0) is exactly [-1,0]^2
-    cons = membership_constraints(CLOSED_UNIT_SQUARE, point(0, 0), TRANSLATE)
+    cons = rows_of(CLOSED_UNIT_SQUARE, point(0, 0), TRANSLATE)
     inside = [(F(-1), F(0)), (F(0), F(-1)), (F(-1, 2), F(-1, 2)), (F(0), F(0))]
     outside = [(F(1, 8), F(0)), (F(0), F(-9, 8)), (F(-2), F(0)), (F(1), F(1))]
     for t in inside:
-        assert contains_point(cons, t), t
+        assert satisfied(cons, t), t
     for t in outside:
-        assert not contains_point(cons, t), t
+        assert not satisfied(cons, t), t
 
 
 def test_membership_constraints_origin_homothet():
-    cons = membership_constraints(CLOSED_UNIT_SQUARE, point(0, 0), HOMOTHET)
+    cons = rows_of(CLOSED_UNIT_SQUARE, point(0, 0), HOMOTHET)
     for c, h in zip(cons, CLOSED_UNIT_SQUARE.halfplanes):
-        assert c.coeffs == (-h.a[0], -h.a[1], -h.b)
-        assert c.bound == 0  # a.p vanishes at the origin
+        assert c.row == ((-h.a[0], -h.a[1], -h.b), 0, 0)  # a.p vanishes at the origin
         assert c.strict == h.strict
 
 
 def test_membership_constraints_empty_shape_always_infeasible():
     for p in (point(0, 0), point(5, -3), point(F(1, 3), F(7, 2))):
-        cons = membership_constraints(EMPTY_SHAPE, p, TRANSLATE)
+        cons = rows_of(EMPTY_SHAPE, p, TRANSLATE)
         assert feasible(2, tuple(cons)) is None
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        membership_constraints(CLOSED_UNIT_SQUARE, point(0, 0), "rotate")
+        rows_of(CLOSED_UNIT_SQUARE, point(0, 0), "rotate")
 
 
 def test_zero_normal_halfplane_rejected():
@@ -97,13 +106,13 @@ def test_contains_iff_membership_constraints():
         lam = F(rng.randint(1, 8), rng.randint(1, 4))
 
         w_t = Placement(t, F(1))
-        cons_t = membership_constraints(shape, p, TRANSLATE)
-        assert contains(shape, w_t, p) == all(c.satisfied_by(t) for c in cons_t)
+        cons_t = rows_of(shape, p, TRANSLATE)
+        assert contains(shape, w_t, p) == satisfied(cons_t, t)
 
         w_h = Placement(t, lam)
-        cons_h = membership_constraints(shape, p, HOMOTHET)
+        cons_h = rows_of(shape, p, HOMOTHET)
         xh = (t[0], t[1], lam)
-        assert contains(shape, w_h, p) == all(c.satisfied_by(xh) for c in cons_h)
+        assert contains(shape, w_h, p) == satisfied(cons_h, xh)
 
 
 def test_contains_each_decides_ties_like_membership_constraints():
@@ -125,19 +134,20 @@ def test_contains_each_decides_ties_like_membership_constraints():
                 pts.append(Point2(t[0] + (foot + side) * ax - s * ay,
                                   t[1] + (foot + side) * ay + s * ax))
                 tied.append(h if not side else None)
-        want = [all(c.satisfied_by(x) for c in membership_constraints(shape, p, HOMOTHET))
-                for p in pts]
+        want = [satisfied(rows_of(shape, p, HOMOTHET), x) for p in pts]
         assert contains_each(shape, Placement(t, lam), pts) == want
+        grid, d = scale_to_integers(pts)
+        assert contains_each(shape, Placement(t, lam), (),
+                             (integer_rows(shape), grid, d)) == want
         # the placement over an unreduced denominator, as the sampler gives it
         (tx, ty, lm), e = clear_denominators(x)
-        grid, d = scale_to_integers(pts)
         assert list(inside_each(integer_rows(shape), grid, d,
                                 6 * tx, 6 * ty, 6 * lm, 6 * e)) == want
         assert [contains(shape, Placement(t, lam), p) for p in pts] == want
         for p, h, inside in zip(pts, tied, want):
-            others = [c for c, g in zip(membership_constraints(shape, p, HOMOTHET),
+            others = [c for c, g in zip(rows_of(shape, p, HOMOTHET),
                                         shape.halfplanes) if g is not h]
-            if h is not None and all(c.satisfied_by(x) for c in others):
+            if h is not None and satisfied(others, x):
                 open_tie_only += h.strict
                 closed_tie_inside += not h.strict and inside
     # a tie on an open side is the only reason some points are outside
@@ -150,11 +160,10 @@ def test_homothet_at_unit_scale_equals_translate():
         shape = random_shape(rng)
         p = Point2(F(rng.randint(-10, 10), 2), F(rng.randint(-10, 10), 2))
         t = (F(rng.randint(-8, 8), 2), F(rng.randint(-8, 8), 2))
-        cons_t = membership_constraints(shape, p, TRANSLATE)
-        cons_h = membership_constraints(shape, p, HOMOTHET)
+        cons_t = rows_of(shape, p, TRANSLATE)
+        cons_h = rows_of(shape, p, HOMOTHET)
         xh = (t[0], t[1], F(1))
-        assert all(c.satisfied_by(t) for c in cons_t) \
-            == all(c.satisfied_by(xh) for c in cons_h)
+        assert satisfied(cons_t, t) == satisfied(cons_h, xh)
 
 
 @given(frac, frac, frac, frac, pos_frac)
@@ -172,6 +181,6 @@ def test_scaling_identity(px, py, tx, ty, lam):
 
 def test_positive_scale_constraint():
     assert POSITIVE_SCALE.strict
-    assert POSITIVE_SCALE.satisfied_by((F(9), F(9), F(1, 100)))
-    assert not POSITIVE_SCALE.satisfied_by((F(0), F(0), F(0)))
-    assert not POSITIVE_SCALE.satisfied_by((F(0), F(0), F(-1)))
+    assert satisfied((POSITIVE_SCALE,), (F(9), F(9), F(1, 100)))
+    assert not satisfied((POSITIVE_SCALE,), (F(0), F(0), F(0)))
+    assert not satisfied((POSITIVE_SCALE,), (F(0), F(0), F(-1)))
