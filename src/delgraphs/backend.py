@@ -206,12 +206,15 @@ def sample_pair_search(shape_rows, points, i, j, homothet, window, trials, seed)
 
     shape_rows: ``shape.integer_rows``.  points: (grid, d) from
     ``geometry.scale_to_integers``.  window: (lox, hix, loy, hiy) integer
-    translation bounds.  Returns (trial_index, tx_num, ty_num, t_den,
-    lam_num, lam_den) or None.  Each drawn placement t = (tx, ty)/t_den,
-    lam = lam_num/lam_den goes to ``geometry.inside_each`` over one
-    denominator, t_den*lam_den; p_i and p_j come first, so a placement
-    that misses one of them stops there.
+    translation bounds.  Returns (trial_index, x) or None, x the hit in
+    the (numerators, den) form of ``geometry.inside_each``, unreduced:
+    the drawn t = (tx, ty)/t_den and lam = lam_num/lam_den over one
+    denominator, x = ((tx*lam_den, ty*lam_den, lam_num*t_den),
+    t_den*lam_den).  p_i and p_j come first, so a placement that misses
+    one of them stops there.
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     lox, hix, loy, hiy = window
     gen = SplitMix64(seed)
     grid, d = points
@@ -229,8 +232,8 @@ def sample_pair_search(shape_rows, points, i, j, homothet, window, trials, seed)
                 lam_num, lam_den = mant, 8 << (-exp)
         else:
             lam_num, lam_den = 1, 1
-        inside = inside_each(shape_rows, grid, d, tx * lam_den, ty * lam_den,
-                             lam_num * t_den, t_den * lam_den)
+        x = (tx * lam_den, ty * lam_den, lam_num * t_den), t_den * lam_den
+        inside = inside_each(shape_rows, grid, d, x)
         if next(inside) and next(inside) and not any(inside):
-            return trial, tx, ty, t_den, lam_num, lam_den
+            return trial, x
     return None

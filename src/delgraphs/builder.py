@@ -23,18 +23,18 @@ numerators over ``den``, and ``Fraction``s only in an emitted witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .backend import farkas_certifies
 from .geometry import Point2, scale_to_integers
 from .region import complement, feasible, feasible_with_hint, opposed_clash
 from .shape import (HOMOTHET, POSITIVE_SCALE, ConvexShape, Placement, contains_each,
-                    integer_rows, membership_constraints)
+                    integer_rows, membership_constraints, placement_at)
 
 
 class WitnessVerificationError(AssertionError):
-    """An emitted witness failed its own membership re-check.  This is an
-    internal invariant violation, never a data error."""
+    """An emitted witness failed its own membership re-check, or the leaf
+    it comes from re-solved empty.  This is an internal invariant
+    violation, never a data error."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,12 +68,6 @@ class GeometricGraph:
 
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {(e.i, e.j) for e in self.edges}
-
-
-def _witness_from(x: tuple[tuple[int, ...], int]) -> Placement:
-    """The placement at x = (numerators, den), of scale 1 if x has no lam."""
-    (tx, ty, *lam), den = x
-    return Placement((Fraction(tx, den), Fraction(ty, den)), *(Fraction(v, den) for v in lam))
 
 
 def _membership_tables(points: PointSet, shape: ConvexShape, mode: str):
@@ -125,7 +119,8 @@ def first_leaf(dim: int, cell: tuple, levels) -> tuple | None:
 def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
                  mode: str, integers, mems, outside) -> Placement | None:
     """The witness of edge (i, j), re-checked by direct containment, or
-    None; raises ``WitnessVerificationError`` if the re-check fails."""
+    None; raises ``WitnessVerificationError`` if the leaf re-solves empty
+    or the re-check fails."""
     base = (*mems[i], *mems[j])
     dim = 2
     if mode == HOMOTHET:
@@ -137,8 +132,8 @@ def _edge_search(points: PointSet, shape: ConvexShape, i: int, j: int,
         return None
     final = feasible(dim, leaf)
     if final is None:  # the leaf was proved nonempty on the way down
-        raise AssertionError("feasible cell became infeasible")
-    w = _witness_from(final)
+        raise WitnessVerificationError(f"leaf of edge ({i},{j}) re-solves empty")
+    w = placement_at(final)
     if not verify_witness(points, shape, i, j, w, integers):
         raise WitnessVerificationError(
             f"witness for edge ({i},{j}) fails membership re-check: "

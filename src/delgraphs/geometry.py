@@ -1,10 +1,10 @@
 """Exact planar geometry over rational coordinates.
 
-Every coordinate is a ``fractions.Fraction``; every predicate below is an
-exact decision with no rounding anywhere.  These primitives underpin all
-containment, feasibility and planarity checks in the package; the one
-test of points against a placed shape, ``inside_each``, runs on the
-integer grid that ``scale_to_integers`` puts them on.
+A ``Point2`` holds ``Fraction`` coordinates, and every predicate below is
+an exact decision with no rounding.  ``clear_denominators`` and
+``scale_to_integers`` give the integer forms; the one test of points
+against a placed shape, ``inside_each``, runs on the points' grid for a
+placement in the (numerators, den) form.
 """
 
 from __future__ import annotations
@@ -105,11 +105,12 @@ def scale_to_integers(points: list[Point2]) -> tuple[list[tuple[int, int]], int]
     return list(zip(ints[0::2], ints[1::2])), scale
 
 
-def inside_each(rows, grid, d, tx, ty, lam, e):
-    """Lazily, per grid point X/d, whether it lies in lam*C + t, where
-    t = (tx, ty)/e and lam/e need not be reduced and rows are C's
-    ``shape.integer_rows`` (A, B): the test A.(X*e - T*d) <= L*B*d, with
-    an open row's bound lowered by 1 (on integers v < c is v <= c - 1)."""
+def inside_each(rows, grid, d, x):
+    """Lazily, per grid point X/d, whether it lies in lam*C + t for x =
+    ((tx, ty, lam), e), not necessarily reduced, and rows C's
+    ``shape.integer_rows`` (A, B): A.(X*e - T*d) <= L*B*d, an open row's
+    bound lowered by 1 (on integers v < c is v <= c - 1)."""
+    (tx, ty, lam), e = x
     scale = lam * d
     for x, y in grid:
         ux, uy = x * e - tx * d, y * e - ty * d

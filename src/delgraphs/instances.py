@@ -17,14 +17,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, floor
 
 from . import backend
 from .builder import PointSet
 from .geometry import Point2, scale_to_integers
 from .rng import SplitMix64, derive_seed, rational_in_window
-from .shape import (HOMOTHET, MODES, TRANSLATE, ConvexShape, HalfPlane, Placement,
-                    integer_rows)
+from .shape import (HOMOTHET, MODES, ConvexShape, HalfPlane, Placement, integer_rows,
+                    placement_at)
 
 
 class ParseError(ValueError):
@@ -256,12 +257,12 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def translation_window(points: PointSet) -> tuple[int, int, int, int]:
-    """Integer translation bounds: the point bounding box padded by one
-    full spread (at least 1) on every side."""
+    """Integer translation bounds: the points' bounding box (the origin
+    when there are none) padded by one full spread (at least 1) per side."""
     xs = [p.x for p in points.points]
     ys = [p.y for p in points.points]
-    lox, hix = floor(min(xs)), ceil(max(xs))
-    loy, hiy = floor(min(ys)), ceil(max(ys))
+    lox, hix = floor(min(xs, default=0)), ceil(max(xs, default=0))
+    loy, hiy = floor(min(ys, default=0)), ceil(max(ys, default=0))
     pad = max(hix - lox, hiy - loy, 1)
     return lox - pad, hix + pad, loy - pad, hiy + pad
 
@@ -272,30 +273,20 @@ def sample_witness_search(inst: Instance, i: int, j: int, trials: int,
     exactly {p_i, p_j}; None when the budget runs out.  Positive answers
     are proofs (the caller can re-verify them); negative answers are only
     statistical evidence."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     if not 0 <= min(i, j) < max(i, j) < len(inst.points):
         raise ValueError(f"need distinct i, j in range({len(inst.points)}): ({i}, {j})")
     hit = backend.sample_pair_search(
         integer_rows(inst.shape), scale_to_integers(list(inst.points.points)),
         i, j, inst.mode == HOMOTHET, translation_window(inst.points),
         trials, seed)
-    if hit is None:
-        return None
-    _, tx, ty, td, ln, ld = hit
-    return Placement((Fraction(tx, td), Fraction(ty, td)), Fraction(ln, ld))
+    return None if hit is None else placement_at(hit[1])
 
 
 def sampled_edges(inst: Instance, per_pair_trials: int, seed: int) -> set[tuple[int, int]]:
-    """Pairs confirmed by the sampling oracle, each pair searched with its
-    own derived stream so results are order-independent."""
-    n = len(inst.points)
-    out = set()
-    pair_index = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            s = derive_seed(seed, pair_index)
-            pair_index += 1
-            if sample_witness_search(inst, a, b, per_pair_trials, s) is not None:
-                out.add((a, b))
-    return out
+    """Pairs confirmed by ``sample_witness_search``'s sweep on integer forms
+    made once, each pair on its own derived stream (order-independent)."""
+    rows, points = integer_rows(inst.shape), scale_to_integers(list(inst.points.points))
+    homothet, window = inst.mode == HOMOTHET, translation_window(inst.points)
+    return {(a, b) for k, (a, b) in enumerate(combinations(range(len(inst.points)), 2))
+            if backend.sample_pair_search(rows, points, a, b, homothet, window,
+                                          per_pair_trials, derive_seed(seed, k)) is not None}

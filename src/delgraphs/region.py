@@ -1,7 +1,8 @@
 """Convex cells of Q^d, each a tuple of linear constraints on integers,
 and exact feasibility decisions with witnesses.  A constraint is an
 integer row, made once (``halfspace``; ``constraint`` clears rationals),
-and a point is (numerators, den), den > 0, the form of the LP optimizer.
+and a point is (numerators, den), den > 0: the LP optimizer's form, and
+the one integer form of a placement (``shape.placement_at``).
 
 Feasibility is decided by maximizing a shared slack variable s over the
 cell with every strict constraint tightened by s (see ``backend`` for the

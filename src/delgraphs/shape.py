@@ -59,6 +59,13 @@ class Placement:
             raise ValueError("placement scale must be positive")
 
 
+def placement_at(x: tuple[tuple[int, ...], int]) -> Placement:
+    """The placement at x = ((tx, ty[, lam]), den), the one integer form of
+    a placement; scale 1 when x has no lam (a translate)."""
+    (tx, ty, *lam), den = x
+    return Placement((Fraction(tx, den), Fraction(ty, den)), *(Fraction(v, den) for v in lam))
+
+
 def integer_rows(shape: ConvexShape) -> list[tuple[tuple[int, int, int], bool, int]]:
     """((ax, ay, b), strict, c) per half-plane: a.x <= b (or < b) times c,
     the lcm of its denominators, on integers."""
@@ -73,8 +80,8 @@ def contains_each(shape: ConvexShape, placement: Placement, points,
     ``geometry.inside_each`` on ``integers``: (``integer_rows(shape)``,
     *``scale_to_integers(points)``), made here when None."""
     rows, grid, d = integers or (integer_rows(shape), *scale_to_integers(list(points)))
-    (tx, ty, lam), e = clear_denominators((*placement.translation, placement.scale))
-    return list(inside_each(rows, grid, d, tx, ty, lam, e))
+    x = clear_denominators((*placement.translation, placement.scale))
+    return list(inside_each(rows, grid, d, x))
 
 
 def contains(shape: ConvexShape, placement: Placement, p: Point2) -> bool:

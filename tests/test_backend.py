@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from delgraphs import backend, builder, planarity, region
+from delgraphs import backend, builder, planarity, region, shape
 from delgraphs.builder import build_graph
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.planarity import find_boundary_degeneracy
@@ -311,7 +311,7 @@ def test_kernel_sees_reduced_cells_and_the_witness_solve_the_whole_leaf(monkeypa
             assert len(edges) == len(leaves)
             witnesses += len(edges)
             for edge, (dim, leaf) in zip(edges, leaves):
-                assert edge.witness == builder._witness_from(region.feasible(dim, leaf))
+                assert edge.witness == shape.placement_at(region.feasible(dim, leaf))
     most = 2 * len(PINNED_BOUNDARY.shape.halfplanes) + 1
     assert find_boundary_degeneracy(PINNED_BOUNDARY.points.points,
                                     PINNED_BOUNDARY.shape) == (1, 2, 3, 5)

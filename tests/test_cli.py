@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 import delgraphs
-from delgraphs import cli
+from delgraphs import builder, cli, region
 from delgraphs.builder import WitnessVerificationError
 from delgraphs.cli import main, run_fuzz, run_triangulate_check
 from delgraphs.instances import emit_instance, generate_bounded_instance, parse_instance
 from delgraphs.planarity import PlanarityReport
-from delgraphs.shape import HOMOTHET, TRANSLATE
+from delgraphs.shape import HOMOTHET, POSITIVE_SCALE, TRANSLATE
 
 GOOD = """\
 mode homothet
@@ -144,15 +144,30 @@ def test_verify_single_mode(capsys, good_file):
 
 
 @pytest.fixture
-def homothet_witness_fails(monkeypatch):
-    build = cli.build_graph
+def homothet_witness_fails():
+    """Runs a test body once per way a homothet build can fail: its
+    witness re-check fails, or the leaf of its first pair re-solves empty
+    (lam <= 0 < lam).  Each must end as a witness violation."""
+    build, search = cli.build_graph, builder.first_leaf
 
     def failing(points, shape, mode):
         if mode == HOMOTHET:
             raise WitnessVerificationError("witness re-check failed")
         return build(points, shape, mode)
 
-    monkeypatch.setattr(cli, "build_graph", failing)
+    def empty_leaf(dim, cell, levels):
+        if dim == 3:
+            return (region.constraint((0, 0, 1), 0), POSITIVE_SCALE)
+        return search(dim, cell, levels)
+
+    def variants():
+        for module, name, stub in ((cli, "build_graph", failing),
+                                   (builder, "first_leaf", empty_leaf)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, name, stub)
+                yield name
+
+    return variants
 
 
 def _dumped(out):
@@ -163,32 +178,36 @@ def _dumped(out):
 
 
 def test_fuzz_names_the_mode_of_a_witness_failure(capsys, homothet_witness_fails):
-    assert main(["fuzz", "--trials", "1", "--seed", "7"]) == 2
-    out = capsys.readouterr().out
-    kind, inst = _dumped(out)
-    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
-    assert out.endswith("violations=1\n")
+    for _ in homothet_witness_fails():
+        assert main(["fuzz", "--trials", "1", "--seed", "7"]) == 2
+        out = capsys.readouterr().out
+        kind, inst = _dumped(out)
+        assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+        assert out.endswith("violations=1\n")
 
 
 def test_verify_names_the_mode_of_a_witness_failure(capsys, good_file,
                                                     homothet_witness_fails):
-    assert main(["verify", "--input", good_file]) == 2
-    kind, inst = _dumped(capsys.readouterr().out)
-    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+    for _ in homothet_witness_fails():
+        assert main(["verify", "--input", good_file]) == 2
+        kind, inst = _dumped(capsys.readouterr().out)
+        assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
 
 
 def test_build_reports_a_witness_failure(capsys, good_file, homothet_witness_fails):
-    assert main(["build", "--input", good_file]) == 2
-    kind, inst = _dumped(capsys.readouterr().out)
-    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+    for _ in homothet_witness_fails():
+        assert main(["build", "--input", good_file]) == 2
+        kind, inst = _dumped(capsys.readouterr().out)
+        assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
 
 
 def test_triangulate_check_reports_a_witness_failure(capsys, homothet_witness_fails):
-    assert main(["triangulate-check", "--trials", "1", "--seed", "1"]) == 2
-    out = capsys.readouterr().out
-    kind, inst = _dumped(out)
-    assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
-    assert out.endswith("applicable=0 matches=0 miss-excused=0 miss-unexplained=0\n")
+    for _ in homothet_witness_fails():
+        assert main(["triangulate-check", "--trials", "1", "--seed", "1"]) == 2
+        out = capsys.readouterr().out
+        kind, inst = _dumped(out)
+        assert kind == "VIOLATION witness-homothet" and inst.mode == HOMOTHET
+        assert out.endswith("applicable=0 matches=0 miss-excused=0 miss-unexplained=0\n")
 
 
 @pytest.fixture

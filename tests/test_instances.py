@@ -1,14 +1,18 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from delgraphs import instances
 from delgraphs.builder import build_graph
 from delgraphs.instances import (Instance, ParseError, emit_instance,
                                  generate_bounded_instance, generate_instance,
-                                 parse_instance, parse_rational,
-                                 sample_witness_search, translation_window)
+                                 parse_instance, parse_rational, sample_witness_search,
+                                 sampled_edges, translation_window)
+from delgraphs.rng import derive_seed
 from delgraphs.builder import PointSet
 from delgraphs.geometry import point
 from delgraphs.region import feasible
@@ -246,6 +250,27 @@ def test_sample_search_argument_validation():
     for i, j in ((0, 99), (-1, 0), (0, 2), (-2, 1)):
         with pytest.raises(ValueError):
             sample_witness_search(inst, i, j, 10, seed=0)
+
+
+def test_sampled_edges_makes_its_integer_forms_once(monkeypatch):
+    """One shape clearing, one point grid and one window per call, not one
+    per pair; the edges are those of ``sample_witness_search`` pair by pair."""
+    inst = generate_instance(11, 5, 5, HOMOTHET, F(1, 4))
+    names = ("integer_rows", "scale_to_integers", "translation_window")
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(instances, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(instances, name, counted)
+    found = sampled_edges(inst, 300, 7)
+    assert calls == dict.fromkeys(names, 1)
+    pairs = enumerate(combinations(range(len(inst.points)), 2))
+    assert found == {(a, b) for k, (a, b) in pairs
+                     if sample_witness_search(inst, a, b, 300, derive_seed(7, k))}
+    assert len(found) == 4
+    with pytest.raises(ValueError):
+        sampled_edges(inst, 0, 7)
 
 
 def test_sample_witness_search_answers_are_pinned():

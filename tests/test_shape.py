@@ -10,7 +10,8 @@ from delgraphs.geometry import (Point2, clear_denominators, inside_each, point,
 from delgraphs.region import contains_point, feasible
 from delgraphs.shape import (HOMOTHET, POSITIVE_SCALE, TRANSLATE, ConvexShape,
                              HalfPlane, Placement, contains, contains_each,
-                             integer_rows, membership_constraints, shape_from_rows)
+                             integer_rows, membership_constraints, placement_at,
+                             shape_from_rows)
 
 F = Fraction
 
@@ -142,7 +143,11 @@ def test_contains_each_decides_ties_like_membership_constraints():
         # the placement over an unreduced denominator, as the sampler gives it
         (tx, ty, lm), e = clear_denominators(x)
         assert list(inside_each(integer_rows(shape), grid, d,
-                                6 * tx, 6 * ty, 6 * lm, 6 * e)) == want
+                                ((6 * tx, 6 * ty, 6 * lm), 6 * e))) == want
+        # the integer form converts back to the same placement, reduced or not
+        assert placement_at(clear_denominators(x)) == Placement(t, lam)
+        assert placement_at(((6 * tx, 6 * ty, 6 * lm), 6 * e)) == Placement(t, lam)
+        assert placement_at(clear_denominators(t)) == Placement(t)  # a translate: scale 1
         assert [contains(shape, Placement(t, lam), p) for p in pts] == want
         for p, h, inside in zip(pts, tied, want):
             others = [c for c, g in zip(rows_of(shape, p, HOMOTHET),
