@@ -73,10 +73,10 @@ def _probability(text: str) -> Fraction:
 
 
 def _read_instance(path: str) -> Instance:
-    """Read and parse an instance file.  ``OSError`` and ``ParseError``
-    (also raised for text that is not UTF-8) propagate to ``main()``,
-    which reports them with the path and returns exit code 1."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and parse a UTF-8 instance file, skipping a leading BOM.
+    ``OSError`` and ``ParseError`` (also raised for non-UTF-8 text) go to
+    ``main()``, which reports them with the path and returns exit code 1."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

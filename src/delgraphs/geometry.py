@@ -1,10 +1,11 @@
 """Exact planar geometry over rational coordinates.
 
-A ``Point2`` holds ``Fraction`` coordinates, and every predicate below is
-an exact decision with no rounding.  ``clear_denominators`` and
-``scale_to_integers`` give the integer forms; the one test of points
-against a placed shape, ``inside_each``, runs on the points' grid for a
-placement in the (numerators, den) form.
+A ``Point2`` holds ``Fraction`` coordinates, or ``int``s on the points'
+common grid (``planarity`` runs ``orient``, ``on_closed_segment`` and
+``convex_hull`` on those); every predicate below is an exact decision.
+``clear_denominators`` and ``scale_to_integers`` give the integer forms;
+the one test of points against a placed shape, ``inside_each``, runs on
+the points' grid for a placement in the (numerators, den) form.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from math import lcm
 
 @dataclass(frozen=True, slots=True)
 class Point2:
-    x: Fraction
-    y: Fraction
+    """A point with ``Fraction`` coordinates, or ``int``s on a grid."""
+    x: Fraction | int
+    y: Fraction | int
 
 
 def point(x, y) -> Point2:

@@ -186,6 +186,17 @@ def _sample_points(gen: SplitMix64, n: int) -> PointSet:
     return PointSet(tuple(pts))
 
 
+def _directions(gen: SplitMix64, chosen: list[tuple[int, int]],
+                draws: int) -> list[tuple[int, int]]:
+    """``chosen`` extended by ``draws`` draws from ``DIRECTION_GRID``,
+    each kept if it is new."""
+    for _ in range(draws):
+        d = DIRECTION_GRID[gen.below(len(DIRECTION_GRID))]
+        if d not in chosen:
+            chosen.append(d)
+    return chosen
+
+
 def generate_instance(seed: int, n: int, k: int, mode: str,
                       open_fraction: Fraction) -> Instance:
     """Deterministic fuzz instance for a seed.
@@ -206,15 +217,8 @@ def generate_instance(seed: int, n: int, k: int, mode: str,
     gen = SplitMix64(seed)
 
     k_eff = 1 + gen.below(2) if gen.below(10) == 0 else k
-    chosen = []
-    seen_dirs = set()
-    for _ in range(k_eff):
-        d = DIRECTION_GRID[gen.below(len(DIRECTION_GRID))]
-        if d not in seen_dirs:
-            seen_dirs.add(d)
-            chosen.append(d)
     halfplanes = []
-    for d in chosen:
+    for d in _directions(gen, [], k_eff):
         b = rational_in_window(gen, *OFFSET_WINDOW, OFFSET_MAX_DEN)
         strict = gen.chance(open_fraction.numerator, open_fraction.denominator)
         halfplanes.append(HalfPlane((Fraction(d[0]), Fraction(d[1])), b, strict))
@@ -235,16 +239,9 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
 
     g = len(DIRECTION_GRID)
     r = gen.below(g)
-    idx = [(r) % g, (r + 5) % g, (r + 11) % g]
-    seen_dirs = {DIRECTION_GRID[i] for i in idx}
-    for _ in range(k - 3):
-        d = DIRECTION_GRID[gen.below(g)]
-        if d not in seen_dirs:
-            seen_dirs.add(d)
-            idx.append(DIRECTION_GRID.index(d))
+    anchors = [DIRECTION_GRID[(r + s) % g] for s in (0, 5, 11)]
     halfplanes = []
-    for i in idx:
-        d = DIRECTION_GRID[i]
+    for d in _directions(gen, anchors, k - 3):
         b = rational_in_window(gen, 1, 10, OFFSET_MAX_DEN)
         halfplanes.append(HalfPlane((Fraction(d[0]), Fraction(d[1])), b, False))
 

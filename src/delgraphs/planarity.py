@@ -74,42 +74,34 @@ def verify_plane(g: GeometricGraph) -> PlanarityReport:
 
 @dataclass(frozen=True)
 class TriangulationReport:
-    """Edge counts of a plane drawing against two triangulation counts.
+    """Triangulation verdicts for a plane drawing, applicable when the
+    points' convex hull has h > 2 vertices (n >= 3, not all collinear).
 
-    ``matches`` compares with 3n - 3 - h (h = ``hull_size``), the count of
-    a triangulation of the point set.  A polygonal shape need not reach
+    ``matches``: the edge count is 3n - 3 - h, the count of a
+    triangulation of the point set.  A polygonal shape need not reach
     it: a convex-hull pair can be a true non-edge.  ``triangulated`` is
     the verdict: the graph is connected with every bounded face a
-    triangle (Euler: E - n + 1 empty 3-cycles).  Both verdicts are False
-    when not applicable.
+    triangle (Euler: E - n + 1 empty 3-cycles).  Both are False when not
+    applicable.
     """
     applicable: bool
     edge_count: int
-    hull_size: int
-    expected_count: int
     matches: bool
     connected: bool
     triangulated: bool
 
 
 def triangulation_check(g: GeometricGraph) -> TriangulationReport:
-    """Compare the edge count of a plane drawing against 3n - 3 - h, the
-    convex-hull count, and decide whether every bounded face is a
-    triangle (Euler: E - n + 1 empty 3-cycles; see
-    ``TriangulationReport``).  Undefined for n < 3 or fully collinear
-    sets, reported as not applicable."""
-    n = len(g.points)
-    e = len(g.edges)
+    """The ``TriangulationReport`` of a plane drawing: the hull count
+    3n - 3 - h and the empty-triangle face test, each decided only when
+    h > 2 (h = 0 for n < 3)."""
     pts = _grid(g.points.points)
+    n, e = len(pts), len(g.edges)
     connected, triangles = _faces_are_triangles(pts, [(ed.i, ed.j) for ed in g.edges])
-    if n < 3:
-        return TriangulationReport(False, e, 0, 0, False, connected, False)
-    h = len(convex_hull(pts))
-    if h <= 2:
-        return TriangulationReport(False, e, h, 0, False, connected, False)
-    expected = 3 * n - 3 - h
-    return TriangulationReport(True, e, h, expected, e == expected,
-                               connected, triangles)
+    h = len(convex_hull(pts)) if n >= 3 else 0
+    applicable = h > 2
+    return TriangulationReport(applicable, e, applicable and e == 3 * n - 3 - h,
+                               connected, applicable and triangles)
 
 
 def _faces_are_triangles(pts: list[Point2],
@@ -172,10 +164,10 @@ def _boundary_rows(shape: ConvexShape, points) -> list[tuple]:
     return out
 
 
-def on_common_homothet_boundary(points, shape: ConvexShape, indices,
-                                rows=None) -> bool:
-    """Exact test whether all the chosen points lie on the boundary of a
-    single homothet of a closed full-dimensional shape.
+def on_common_homothet_boundary(shape: ConvexShape, chosen: list[tuple]) -> bool:
+    """Exact test whether all the chosen points, given by their
+    ``_boundary_rows`` entries, lie on the boundary of a single homothet
+    of a closed full-dimensional shape.
 
     A point sits on the placed boundary iff it is inside and at least one
     half-plane is tight, so the search assigns one tight half-plane per
@@ -193,14 +185,9 @@ def on_common_homothet_boundary(points, shape: ConvexShape, indices,
     closed and p maximises a over the chosen points, ties included.  Each
     assignment this drops is one the LP would find empty, so the answer
     is unchanged; a point left with no half-plane decides False at once.
-
-    ``rows`` maps each index to its ``_boundary_rows`` entry (None: built here).
     """
     if not shape.halfplanes:
         return False
-    if rows is None:
-        rows = dict(zip(indices, _boundary_rows(shape, [points[k] for k in indices])))
-    chosen = [rows[k] for k in indices]
     allowed: list[list[tuple[LinearConstraint]]] = [[] for _ in chosen]
     for hi, h in enumerate(shape.halfplanes):
         if h.strict:
@@ -222,6 +209,6 @@ def find_boundary_degeneracy(points, shape: ConvexShape) -> tuple[int, ...] | No
     made once per scan and shared by every quad's search."""
     rows = _boundary_rows(shape, points)
     for quad in combinations(range(len(points)), 4):
-        if on_common_homothet_boundary(points, shape, quad, rows):
+        if on_common_homothet_boundary(shape, [rows[k] for k in quad]):
             return quad
     return None

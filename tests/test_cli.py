@@ -44,6 +44,14 @@ def test_build_prints_edges(capsys, good_file):
     assert out.splitlines() == ["0 1", "0 2", "1 3", "2 3"]
 
 
+def test_build_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    """Some editors save UTF-8 with a leading BOM; it is not part of line 1."""
+    src = tmp_path / "bom.dg"
+    src.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+    assert main(["build", "--input", str(src)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 1", "0 2", "1 3", "2 3"]
+
+
 @pytest.mark.parametrize("flag", ["--svg", "--witnesses"])
 def test_build_prints_nothing_when_a_file_cannot_be_written(tmp_path, capsys,
                                                             good_file, flag):

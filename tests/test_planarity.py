@@ -195,8 +195,9 @@ def test_triangulation_square_corners_mismatch():
     g = build_graph(SQUARE_CORNERS, CLOSED_UNIT_SQUARE, HOMOTHET)
     rep = triangulation_check(g)
     assert rep.applicable
-    assert rep.edge_count == 4 and rep.hull_size == 4
-    assert rep.expected_count == 5 and not rep.matches
+    h = len(convex_hull(list(SQUARE_CORNERS.points)))
+    assert rep.edge_count == 4 and h == 4
+    assert 3 * 4 - 3 - h == 5 and not rep.matches
     assert rep.connected and not rep.triangulated
 
 
@@ -205,16 +206,17 @@ def test_triangulation_three_generic_points():
     g = build_graph(P, CLOSED_UNIT_SQUARE, HOMOTHET)
     rep = triangulation_check(g)
     assert rep.applicable and rep.edge_count == 3
-    assert rep.expected_count == 3 and rep.matches
+    assert 3 * 3 - 3 - len(convex_hull(list(P.points))) == 3 and rep.matches
 
 
 def test_triangulation_not_applicable():
-    P2 = PointSet((point(0, 0), point(1, 1)))
-    g = build_graph(P2, CLOSED_UNIT_SQUARE, HOMOTHET)
-    assert not triangulation_check(g).applicable
-    P_line = PointSet((point(0, 0), point(1, 0), point(3, 0)))
-    g2 = build_graph(P_line, CLOSED_UNIT_SQUARE, HOMOTHET)
-    assert not triangulation_check(g2).applicable
+    # n < 3 and collinear sets; from n = 1 on, these graphs are connected
+    # with no bounded face, so the face test alone would pass them
+    for coords in [[], [(0, 0)], [(0, 0), (1, 1)], [(0, 0), (1, 0), (3, 0)]]:
+        P = PointSet(tuple(point(x, y) for x, y in coords))
+        rep = triangulation_check(build_graph(P, CLOSED_UNIT_SQUARE, HOMOTHET))
+        assert not rep.applicable, coords
+        assert not rep.matches and not rep.triangulated, coords
 
 
 def test_collinear_triples():
@@ -227,8 +229,7 @@ def test_square_corners_are_boundary_degenerate(monkeypatch):
     # all four corners lie on the boundary of the 2x scaled unit square;
     # two corners tie on each side, and both may be tight there
     calls = count_feasible_calls(monkeypatch)
-    assert on_common_homothet_boundary(SQUARE_CORNERS.points,
-                                       CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
+    assert boundary(SQUARE_CORNERS.points, CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
     assert calls  # the counter sees the search's LPs
     assert find_boundary_degeneracy(SQUARE_CORNERS.points,
                                     CLOSED_UNIT_SQUARE) == (0, 1, 2, 3)
@@ -237,6 +238,12 @@ def test_square_corners_are_boundary_degenerate(monkeypatch):
 def test_generic_points_not_boundary_degenerate():
     pts = (point(0, 0), point(3, 1), point(1, F(5, 2)), point(F(7, 3), F(8, 3)))
     assert find_boundary_degeneracy(pts, CLOSED_UNIT_SQUARE) is None
+
+
+def boundary(points, shape, quad) -> bool:
+    """``on_common_homothet_boundary`` on the chosen points' rows."""
+    rows = planarity._boundary_rows(shape, points)
+    return on_common_homothet_boundary(shape, [rows[k] for k in quad])
 
 
 def boundary_by_all_assignments(points, shape, quad) -> bool:
@@ -280,7 +287,7 @@ def test_boundary_filter_agrees_with_all_assignments():
         pts = inst.points.points
         for quad in itertools.combinations(range(len(pts)), 4):
             want = boundary_by_all_assignments(pts, inst.shape, quad)
-            assert on_common_homothet_boundary(pts, inst.shape, quad) == want, \
+            assert boundary(pts, inst.shape, quad) == want, \
                 (inst.seed, quad)
             positives += want
             decided += 1
@@ -293,7 +300,7 @@ def test_boundary_scan_agrees_with_quad_by_quad_tests():
     for inst in boundary_cases():
         pts = inst.points.points
         want = next((quad for quad in itertools.combinations(range(len(pts)), 4)
-                     if on_common_homothet_boundary(pts, inst.shape, quad)), None)
+                     if boundary(pts, inst.shape, quad)), None)
         assert find_boundary_degeneracy(pts, inst.shape) == want, inst.seed
         found += want is not None
     assert found >= 1
@@ -307,7 +314,7 @@ def test_boundary_scan_makes_each_points_rows_once(monkeypatch):
     monkeypatch.setattr(planarity, "membership_constraints",
                         lambda *args: made.extend(args[1]) or rows_of(*args))
     monkeypatch.setattr(planarity, "on_common_homothet_boundary",
-                        lambda *args: quads.append(args[2]) or test(*args))
+                        lambda *args: quads.append(args[1]) or test(*args))
     assert find_boundary_degeneracy(pts, CLOSED_UNIT_SQUARE) is None
     assert len(quads) == 15  # no quad is degenerate, so every one is tried
     assert made == scale_to_integers(list(pts))[0]  # 6 row builds, not 4 per quad
@@ -329,7 +336,7 @@ def count_feasible_calls(monkeypatch) -> list:
 def test_point_inside_the_triangle_decides_without_an_lp(monkeypatch):
     calls = count_feasible_calls(monkeypatch)
     pts = (point(0, 0), point(6, 0), point(0, 6), point(1, 1))
-    assert not on_common_homothet_boundary(pts, CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
+    assert not boundary(pts, CLOSED_UNIT_SQUARE, (0, 1, 2, 3))
     assert calls == []
 
 
@@ -338,8 +345,7 @@ def test_open_square_makes_no_point_tight(monkeypatch):
         (1, 0, 1, True), (-1, 0, 0, True), (0, 1, 1, True), (0, -1, 0, True)])
     calls = count_feasible_calls(monkeypatch)
     for quad in [(0,), (0, 1, 2, 3)]:
-        assert not on_common_homothet_boundary(SQUARE_CORNERS.points,
-                                               open_square, quad)
+        assert not boundary(SQUARE_CORNERS.points, open_square, quad)
     assert calls == []
 
 
@@ -431,8 +437,8 @@ def test_seed_7003_hull_pair_is_a_true_non_edge():
     hull = [pts.index(p) for p in convex_hull(list(pts))]
     hull_pairs = {tuple(sorted(p)) for p in zip(hull, hull[1:] + hull[:1])}
     assert (0, 4) in hull_pairs and (0, 4) not in g.edge_pairs()
+    assert len(hull) == 5
     rep = triangulation_check(g)
-    assert rep.hull_size == 5
     assert not rep.matches and rep.triangulated
 
     # Independent of the exact simplex: a homothet lam*C + t holding p0 and
