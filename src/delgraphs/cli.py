@@ -76,11 +76,14 @@ def _read_instance(path: str) -> Instance:
     """Read and parse a UTF-8 instance file, skipping a leading BOM.
     ``OSError`` and ``ParseError`` (also raised for non-UTF-8 text) go to
     ``main()``, which reports them with the path and returns exit code 1."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from None
+    except OSError as exc:  # a failed read names no file
+        exc.filename = path
+        raise
     return parse_instance(text)
 
 
@@ -110,8 +113,12 @@ def cmd_build(args) -> int:
     # exit 1 before any edge reaches stdout
     for path, render in ((args.witnesses, _witness_lines), (args.svg, render_svg)):
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render(g))
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(render(g))
+            except OSError as exc:  # a failed write or flush names no file
+                exc.filename = path
+                raise
     for e in g.edges:
         print(e.i, e.j)
     return EXIT_OK
@@ -221,15 +228,19 @@ def run_fuzz(trials: int, seed: int, max_points: int, max_halfplanes: int,
     return "\n".join(lines) + "\n", violations
 
 
-def cmd_fuzz(args) -> int:
-    t0 = time.perf_counter()
-    summary, violations = run_fuzz(args.trials, args.seed, args.max_points,
-                                   args.max_halfplanes, args.open_fraction)
-    for kind, inst, detail in violations:
-        _dump_violation(kind, inst, detail)
+def _report(t0: float, summary: str, violations, misses: int = 0) -> int:
+    """Violations, then the summary, to stdout; the time since ``t0`` to stderr."""
+    for violation in violations:
+        _dump_violation(*violation)
     sys.stdout.write(summary)
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return EXIT_VIOLATION if violations or misses else EXIT_OK
+
+
+def cmd_fuzz(args) -> int:
+    t0 = time.perf_counter()
+    return _report(t0, *run_fuzz(args.trials, args.seed, args.max_points,
+                                 args.max_halfplanes, args.open_fraction))
 
 
 RESAMPLE_ATTEMPTS = 50
@@ -285,11 +296,7 @@ def run_triangulate_check(trials: int, seed: int):
 def cmd_triangulate_check(args) -> int:
     t0 = time.perf_counter()
     summary, unexplained, violations = run_triangulate_check(args.trials, args.seed)
-    for kind, inst, detail in violations:
-        _dump_violation(kind, inst, detail)
-    sys.stdout.write(summary)
-    print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_VIOLATION if unexplained or violations else EXIT_OK
+    return _report(t0, summary, violations, unexplained)
 
 
 def main(argv=None) -> int:
@@ -343,10 +350,10 @@ def main(argv=None) -> int:
         where = f"{source}: " if source else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        verb = "read" if exc.filename == source else "write"
-        print(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}",
-              file=sys.stderr)
+    except OSError as exc:  # only a write to stdout names no file
+        name = "standard output" if exc.filename is None else exc.filename
+        verb = "read" if name == source else "write"
+        print(f"error: cannot {verb} {name}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

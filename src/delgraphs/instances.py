@@ -72,7 +72,8 @@ def parse_rational(text: str, line_no: int | None = None) -> Fraction:
 
 def parse_instance(text: str) -> Instance:
     lines = []  # (line_no, tokens)
-    for no, raw in enumerate(text.splitlines(), start=1):
+    # split as open() does: splitlines() also splits at \x0b, \x0c, \x1c-\x1e, U+0085, U+2028/9
+    for no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             lines.append((no, body.split()))

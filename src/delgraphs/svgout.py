@@ -1,4 +1,4 @@
-"""Deterministic SVG 1.1 rendering of graph drawings.
+"""Deterministic SVG 1.1 rendering of graph drawings: points and edges.
 
 Rendering is presentation only: rationals are formatted to 6 decimal
 places for display, never used in any decision, and drawings are emitted
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .builder import GeometricGraph
-from .shape import Placement
 
 _PAD = Fraction(1, 5)  # 20% viewport padding
 
@@ -34,46 +33,8 @@ def _viewport(points):
     return lox - pad, loy - pad, hix + pad, hiy + pad
 
 
-def _clip_halfplane(poly, a, bound):
-    """Sutherland-Hodgman step: keep the side a.x <= bound (exact)."""
-    if not poly:
-        return []
-    out = []
-    n = len(poly)
-    for idx in range(n):
-        p = poly[idx]
-        q = poly[(idx + 1) % n]
-        vp = a[0] * p[0] + a[1] * p[1] - bound
-        vq = a[0] * q[0] + a[1] * q[1] - bound
-        if vp <= 0:
-            out.append(p)
-            if vq > 0:
-                t = vp / (vp - vq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        elif vq <= 0:
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def _placed_shape_polygon(shape, placement: Placement, box):
-    """Placed shape clipped to the viewport box; strictness is ignored for
-    drawing purposes.  Empty result means nothing visible."""
-    lox, loy, hix, hiy = box
-    poly = [(lox, loy), (hix, loy), (hix, hiy), (lox, hiy)]
-    tx, ty = placement.translation
-    lam = placement.scale
-    for h in shape.halfplanes:
-        # a.(x - t) <= lam*b  ==  a.x <= lam*b + a.t
-        bound = lam * h.b + h.a[0] * tx + h.a[1] * ty
-        poly = _clip_halfplane(poly, h.a, bound)
-        if not poly:
-            return []
-    return poly
-
-
-def render_svg(g: GeometricGraph, witness: Placement | None = None) -> str:
-    """Points as circles, edges as segments, optional placed-shape overlay."""
+def render_svg(g: GeometricGraph) -> str:
+    """Points as circles, edges as segments."""
     pts = list(g.points.points)
     lox, loy, hix, hiy = _viewport(pts)
     width = hix - lox
@@ -87,14 +48,6 @@ def render_svg(g: GeometricGraph, witness: Placement | None = None) -> str:
         f'viewBox="{_fmt(lox)} {_fmt(loy)} {_fmt(width)} {_fmt(height)}">')
     # flip y so the drawing appears in the usual orientation
     out.append(f'<g transform="translate(0 {_fmt(loy + hiy)}) scale(1 -1)">')
-
-    if witness is not None:
-        poly = _placed_shape_polygon(g.shape, witness, (lox, loy, hix, hiy))
-        if poly:
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly)
-            out.append(f'<polygon points="{coords}" fill="#88c0d0" '
-                       f'fill-opacity="0.35" stroke="#5e81ac" '
-                       f'stroke-width="{_fmt(stroke)}"/>')
 
     for e in g.edges:
         p, q = pts[e.i], pts[e.j]

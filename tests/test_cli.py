@@ -1,8 +1,11 @@
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -64,6 +67,42 @@ def test_build_prints_nothing_when_a_file_cannot_be_written(tmp_path, capsys,
     assert err.splitlines() == [f"error: cannot write {bad}: No such file or directory"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--svg", "--witnesses"])
+def test_build_names_the_file_whose_write_fails(capsys, good_file, flag):
+    """A write that fails after the file opened (here: no space left)
+    still names the file."""
+    assert main(["build", "--input", good_file, flag, "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: cannot write /dev/full: No space left on device"]
+
+
+class _FailingStream(io.StringIO):
+    """Every read fails as on a bad disk, every write as on a full one."""
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_build_names_the_input_whose_read_fails(monkeypatch, capsys, good_file):
+    """A read that fails after the file opened still names the file."""
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FailingStream(),
+                        raising=False)
+    assert main(["build", "--input", good_file]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {good_file}: Input/output error"]
+
+
+def test_build_names_standard_output_when_its_write_fails(monkeypatch, capsys, good_file):
+    monkeypatch.setattr(sys, "stdout", _FailingStream())
+    assert main(["build", "--input", good_file]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write standard output: No space left on device"]
+
+
 def test_build_mode_override(capsys, good_file):
     assert main(["build", "--input", good_file, "--mode", "translate"]) == 0
     assert capsys.readouterr().out == ""  # unit square holds no far pairs
@@ -108,13 +147,24 @@ WITNESS_SHA256 = {
 }
 
 
+SVG_SHA256 = {
+    TRANSLATE: "0d6ffc8e2f02fd43bd181859f9dcb8bb99b84d8ee3a5504037cb8185b995400f",
+    HOMOTHET: "40fdbdbce2523f8e8a6f511254fd3b171405c69b693687c54d1c7e47700e707c",
+}
+
+
 @pytest.mark.parametrize("mode", sorted(WITNESS_SHA256))
 def test_build_witness_file_is_pinned_at_n16(tmp_path, capsys, mode):
+    """The witness file and the SVG drawing of one n = 16 build, byte for
+    byte; the SVG is also well-formed XML."""
     src = tmp_path / "in.dg"
     src.write_text(emit_instance(generate_bounded_instance(116, 16, 6, mode)))
-    wfile = tmp_path / "w.txt"
-    assert main(["build", "--input", str(src), "--witnesses", str(wfile)]) == 0
+    wfile, sfile = tmp_path / "w.txt", tmp_path / "g.svg"
+    assert main(["build", "--input", str(src), "--witnesses", str(wfile),
+                 "--svg", str(sfile)]) == 0
     assert hashlib.sha256(wfile.read_bytes()).hexdigest() == WITNESS_SHA256[mode]
+    assert hashlib.sha256(sfile.read_bytes()).hexdigest() == SVG_SHA256[mode]
+    ElementTree.fromstring(sfile.read_bytes())
     capsys.readouterr()
 
 

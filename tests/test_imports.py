@@ -1,5 +1,6 @@
-"""Every import in the package is used by the module that makes it, and
-every module-level private name is used somewhere in the package.
+"""Every import in the package and in its tests is used by the module
+that makes it, and every module-level private name is used somewhere in
+the package.
 
 A name counts as used when the module reads it, or lists it in
 ``__all__`` to re-export it.  An import statement marked ``# noqa: F401``
@@ -15,6 +16,7 @@ from pathlib import Path
 import delgraphs
 
 PACKAGE = Path(delgraphs.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,10 +43,17 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unused_imports_in(directory: Path) -> dict[str, list[str]]:
+    return {path.name: unused for path in sorted(directory.glob("*.py"))
+            if (unused := unused_imports(path.read_text(encoding="utf-8")))}
+
+
 def test_every_import_in_the_package_is_used():
-    found = {path.name: unused for path in sorted(PACKAGE.glob("*.py"))
-             if (unused := unused_imports(path.read_text(encoding="utf-8")))}
-    assert found == {}
+    assert unused_imports_in(PACKAGE) == {}
+
+
+def test_every_import_in_the_tests_is_used():
+    assert unused_imports_in(TESTS) == {}
 
 
 def test_the_import_check_flags_what_it_should():

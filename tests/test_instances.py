@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delgraphs import instances
-from delgraphs.builder import build_graph
 from delgraphs.instances import (Instance, ParseError, emit_instance,
                                  generate_bounded_instance, generate_instance,
                                  parse_instance, parse_rational, sample_witness_search,
@@ -16,8 +15,7 @@ from delgraphs.rng import derive_seed
 from delgraphs.builder import PointSet
 from delgraphs.geometry import point
 from delgraphs.region import feasible
-from delgraphs.shape import (HOMOTHET, MODES, TRANSLATE, Placement, contains,
-                             membership_constraints, shape_from_rows)
+from delgraphs.shape import HOMOTHET, MODES, TRANSLATE, contains, shape_from_rows
 
 F = Fraction
 
@@ -76,6 +74,33 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_instance("mode translate\nshape 1\n1 0 1/0 closed\npoints 1\n0 0\n")
     assert err.value.line_no == 3
+
+
+# every break of str.splitlines() that text-mode open() keeps in a line
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_line_breaks_end_a_line(char):
+    """A comment may hold any other character: it stays one line, and an
+    error reports the file's own line number."""
+    inst = parse_instance(MINIMAL)
+    assert parse_instance(MINIMAL.replace("\n", f" # note {char} more\n", 2)) == inst
+    assert parse_instance(MINIMAL.replace("\n", f" # {char}\n")) == inst
+    bad = MINIMAL.replace("0 0\n", "0 0 0\n")  # line 6
+    for text in (bad, bad.replace("\n", f" # {char}\n")):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == 6
+
+
+def test_crlf_and_cr_line_breaks_parse():
+    inst = parse_instance(MINIMAL)
+    assert parse_instance(MINIMAL.replace("\n", "\r\n")) == inst
+    assert parse_instance(MINIMAL.replace("\n", "\r")) == inst
+    with pytest.raises(ParseError) as err:
+        parse_instance(MINIMAL.replace("0 0\n", "0 0 0\n").replace("\n", "\r\n"))
+    assert err.value.line_no == 6
 
 
 LONG_DIGITS = "1" * 5000  # past int()'s default limit of 4300 digits

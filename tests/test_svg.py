@@ -42,21 +42,6 @@ def test_crossing_rendered_verbatim():
     assert svg.count("<line") == 2  # rendering never filters
 
 
-def test_witness_overlay_polygon():
-    P = PointSet((point(0, 0), point(2, 0), point(0, 2), point(2, 2)))
-    g = build_graph(P, SQ, HOMOTHET)
-    svg = render_svg(g, witness=g.edges[0].witness)
-    assert svg.count("<polygon") == 1
-
-
-def test_unbounded_shape_overlay_clipped():
-    halfplane = shape_from_rows([(0, 1, 1, False)])  # y <= 1, unbounded
-    P = PointSet((point(0, 0), point(2, 0)))
-    g = build_graph(P, halfplane, HOMOTHET)
-    svg = render_svg(g, witness=g.edges[0].witness)
-    assert svg.count("<polygon") == 1  # clipped to viewport, still drawable
-
-
 def test_deterministic_output():
     P = PointSet((point(0, 0), point(F(5, 3), F(-7, 4))))
     g = build_graph(P, SQ, HOMOTHET)
