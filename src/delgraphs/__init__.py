@@ -9,8 +9,7 @@ checks are exhaustive exact scans.
 from .backend import backend_name
 from .builder import (Edge, GeometricGraph, PointSet, WitnessVerificationError,
                       build_graph, edge_feasible, is_subgraph, verify_witness)
-from .geometry import (Point2, Segment, convex_hull, on_closed_segment, orient,
-                       point)
+from .geometry import Point2, convex_hull, on_closed_segment, orient, point
 from .instances import (Instance, ParseError, emit_instance,
                         generate_bounded_instance, generate_instance,
                         parse_instance, sample_witness_search, sampled_edges)
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Edge", "GeometricGraph", "PointSet", "WitnessVerificationError",
     "build_graph", "edge_feasible", "is_subgraph", "verify_witness",
-    "Point2", "Segment", "convex_hull", "on_closed_segment", "orient", "point",
+    "Point2", "convex_hull", "on_closed_segment", "orient", "point",
     "Instance", "ParseError", "emit_instance", "generate_bounded_instance",
     "generate_instance", "parse_instance", "sample_witness_search",
     "sampled_edges",

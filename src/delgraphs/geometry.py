@@ -1,48 +1,40 @@
 """Exact planar geometry over rational coordinates.
 
-A ``Point2`` holds ``Fraction`` coordinates, or ``int``s on the points'
-common grid (``planarity`` runs ``orient``, ``on_closed_segment`` and
-``convex_hull`` on those); every predicate below is an exact decision.
-``clear_denominators`` and ``scale_to_integers`` give the integer forms;
-the one test of points against a placed shape, ``inside_each``, runs on
-the points' grid for a placement in the (numerators, den) form.
+A point is a pair: a ``Point2`` holds ``Fraction`` coordinates, and the
+points' common grid (``scale_to_integers``) holds ``int`` pairs.
+``orient``, ``on_closed_segment`` and ``convex_hull`` read any (x, y)
+pair, so ``planarity`` runs them on the grid; every predicate below is
+an exact decision.  ``clear_denominators`` and ``scale_to_integers``
+give the integer forms; the one test of points against a placed shape,
+``inside_each``, runs on the points' grid for a placement in the
+(numerators, den) form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
-    """A point with ``Fraction`` coordinates, or ``int``s on a grid."""
-    x: Fraction | int
-    y: Fraction | int
+class Point2(NamedTuple):
+    """A point with ``Fraction`` coordinates; it is its own (x, y) pair."""
+    x: Fraction
+    y: Fraction
 
 
 def point(x, y) -> Point2:
     return Point2(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    a: Point2
-    b: Point2
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate segment at {self.a}")
-
-
-def orient(p: Point2, q: Point2, r: Point2) -> int:
-    """Sign of the cross product (q-p) x (r-p).
+def orient(p, q, r) -> int:
+    """Sign of the cross product (q-p) x (r-p) for (x, y) pairs.
 
     +1 when p,q,r make a counterclockwise turn, -1 for clockwise,
     0 when collinear.
     """
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    (px, py), (qx, qy), (rx, ry) = p, q, r
+    d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     if d > 0:
         return 1
     if d < 0:
@@ -50,25 +42,26 @@ def orient(p: Point2, q: Point2, r: Point2) -> int:
     return 0
 
 
-def on_closed_segment(p: Point2, s: Segment) -> bool:
-    """True iff p lies on s, endpoints included."""
-    if orient(s.a, s.b, p) != 0:
+def on_closed_segment(p, a, b) -> bool:
+    """True iff p lies on the segment from a to b, endpoints included."""
+    if orient(a, b, p) != 0:
         return False
-    lo_x, hi_x = (s.a.x, s.b.x) if s.a.x <= s.b.x else (s.b.x, s.a.x)
-    lo_y, hi_y = (s.a.y, s.b.y) if s.a.y <= s.b.y else (s.b.y, s.a.y)
-    return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+    lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
+    return lo_x <= px <= hi_x and lo_y <= py <= hi_y
 
 
-def convex_hull(points: list[Point2]) -> list[Point2]:
+def convex_hull(points: list) -> list:
     """Hull vertices in counterclockwise order, starting at the
     lexicographically smallest point; points interior to hull edges are
-    dropped.  A collinear input degenerates to its two extreme points."""
+    dropped.  A collinear input degenerates to its two extreme points.
+    The vertices are input points, sorted, not copies."""
     if not points:
         raise ValueError("convex_hull of empty point list")
-    pts = sorted(set((p.x, p.y) for p in points))
+    pts = sorted(set(points))
     if len(pts) == 1:
-        return [Point2(*pts[0])]
-    pts = [Point2(x, y) for x, y in pts]
+        return pts
 
     def half(seq):
         chain = []
@@ -103,7 +96,7 @@ def scale_to_integers(points: list[Point2]) -> tuple[list[tuple[int, int]], int]
     and plain-int arithmetic is much faster than Fraction arithmetic in the
     exhaustive planarity scans.
     """
-    ints, scale = clear_denominators(c for p in points for c in (p.x, p.y))
+    ints, scale = clear_denominators(c for p in points for c in p)
     return list(zip(ints[0::2], ints[1::2])), scale
 
 

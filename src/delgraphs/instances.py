@@ -23,7 +23,7 @@ from math import ceil, floor
 from . import backend
 from .builder import PointSet
 from .geometry import Point2, scale_to_integers
-from .rng import SplitMix64, derive_seed, rational_in_window
+from .rng import MASK64, SplitMix64, derive_seed, rational_in_window
 from .shape import (HOMOTHET, MODES, ConvexShape, HalfPlane, Placement, integer_rows,
                     placement_at)
 
@@ -215,6 +215,8 @@ def generate_instance(seed: int, n: int, k: int, mode: str,
     open_fraction = Fraction(open_fraction)
     if not 0 <= open_fraction <= 1:
         raise ValueError("open_fraction must be in [0, 1]")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     gen = SplitMix64(seed)
 
     k_eff = 1 + gen.below(2) if gen.below(10) == 0 else k
@@ -236,6 +238,8 @@ def generate_bounded_instance(seed: int, n: int, k: int, mode: str) -> Instance:
         raise ValueError("need n >= 1 and k >= 3")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     gen = SplitMix64(seed)
 
     g = len(DIRECTION_GRID)
@@ -283,6 +287,8 @@ def sample_witness_search(inst: Instance, i: int, j: int, trials: int,
 def sampled_edges(inst: Instance, per_pair_trials: int, seed: int) -> set[tuple[int, int]]:
     """Pairs confirmed by ``sample_witness_search``'s sweep on integer forms
     made once, each pair on its own derived stream (order-independent)."""
+    if per_pair_trials < 1:
+        raise ValueError("need trials >= 1")
     rows, points = integer_rows(inst.shape), scale_to_integers(list(inst.points.points))
     homothet, window = inst.mode == HOMOTHET, translation_window(inst.points)
     return {(a, b) for k, (a, b) in enumerate(combinations(range(len(inst.points)), 2))

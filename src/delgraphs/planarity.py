@@ -1,7 +1,8 @@
 """Plane-graph verification of straight-line drawings, the triangulation
 face check, and exact degeneracy diagnostics, all on integers: the
-points go on their common grid, which preserves every orientation and
-incidence predicate, and the boundary scan's rows are made from it and
+points go on their common grid of int pairs, which preserves every
+orientation and incidence predicate, so ``geometry``'s predicates run on
+the grid as they are, and the boundary scan's rows are made from it and
 the cleared shape (``shape.membership_constraints``).
 
 A drawing is a plane graph when (1) no vertex lies on a non-incident
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import (Point2, Segment, convex_hull, on_closed_segment,
-                       orient, scale_to_integers)
+from .geometry import convex_hull, on_closed_segment, orient, scale_to_integers
 from .region import LinearConstraint, feasible, halfspace  # noqa: F401  (tracing wraps feasible)
 from .builder import GeometricGraph, first_leaf
 from .shape import (HOMOTHET, POSITIVE_SCALE, ConvexShape, integer_rows,
@@ -36,12 +36,6 @@ class PlanarityReport:
         return not self.condition1_violations and not self.condition2_violations
 
 
-def _grid(points) -> list[Point2]:
-    """The points on their common integer grid (``scale_to_integers``)."""
-    scaled, _ = scale_to_integers(list(points))
-    return [Point2(x, y) for x, y in scaled]
-
-
 def verify_plane(g: GeometricGraph) -> PlanarityReport:
     """Exhaustive exact check of both plane-graph conditions.
 
@@ -53,13 +47,12 @@ def verify_plane(g: GeometricGraph) -> PlanarityReport:
     incidence; condition 2 lists the proper crossings and the pairs
     condition 1 links.
     """
-    pts = _grid(g.points.points)
+    pts, _ = scale_to_integers(list(g.points.points))
     edges = [(e.i, e.j) for e in g.edges]
-    segs = {(i, j): Segment(pts[i], pts[j]) for i, j in edges}
     cond1 = []
     for v in range(len(pts)):
         for e in edges:
-            if v not in e and on_closed_segment(pts[v], segs[e]):
+            if v not in e and on_closed_segment(pts[v], pts[e[0]], pts[e[1]]):
                 cond1.append((v, e))
     linked = {p for v, f in cond1 for e in edges if v in e
               for p in ((e, f), (f, e))}
@@ -85,9 +78,7 @@ class TriangulationReport:
     applicable.
     """
     applicable: bool
-    edge_count: int
     matches: bool
-    connected: bool
     triangulated: bool
 
 
@@ -95,19 +86,18 @@ def triangulation_check(g: GeometricGraph) -> TriangulationReport:
     """The ``TriangulationReport`` of a plane drawing: the hull count
     3n - 3 - h and the empty-triangle face test, each decided only when
     h > 2 (h = 0 for n < 3)."""
-    pts = _grid(g.points.points)
+    pts, _ = scale_to_integers(list(g.points.points))
     n, e = len(pts), len(g.edges)
-    connected, triangles = _faces_are_triangles(pts, [(ed.i, ed.j) for ed in g.edges])
     h = len(convex_hull(pts)) if n >= 3 else 0
     applicable = h > 2
-    return TriangulationReport(applicable, e, applicable and e == 3 * n - 3 - h,
-                               connected, applicable and triangles)
+    return TriangulationReport(
+        applicable, applicable and e == 3 * n - 3 - h,
+        applicable and _faces_are_triangles(pts, [(ed.i, ed.j) for ed in g.edges]))
 
 
-def _faces_are_triangles(pts: list[Point2],
-                         edges: list[IndexEdge]) -> tuple[bool, bool]:
-    """(connected, every bounded face a triangle) for a plane
-    straight-line drawing; both False when not connected.
+def _faces_are_triangles(pts: list[tuple[int, int]], edges: list[IndexEdge]) -> bool:
+    """Whether a plane straight-line drawing is connected with every
+    bounded face a triangle.
 
     A connected plane drawing has E - n + 1 bounded faces (Euler).  A
     3-cycle with no point strictly inside bounds one of them, since no
@@ -125,7 +115,7 @@ def _faces_are_triangles(pts: list[Point2],
             reached.add(w)
             stack.append(w)
     if len(reached) < len(pts):
-        return False, False
+        return False
     empty = 0
     for i, a in enumerate(pts):
         for j in adj[i]:
@@ -135,7 +125,7 @@ def _faces_are_triangles(pts: list[Point2],
                     empty += not any(
                         orient(a, b, p) == orient(b, c, p) == orient(c, a, p) != 0
                         for p in pts)
-    return True, empty == len(edges) - len(pts) + 1
+    return empty == len(edges) - len(pts) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +133,7 @@ def _faces_are_triangles(pts: list[Point2],
 # ---------------------------------------------------------------------------
 
 def collinear_triples(points) -> list[tuple[int, int, int]]:
-    pts = _grid(points)
+    pts, _ = scale_to_integers(list(points))
     return [(i, j, k) for i, j, k in combinations(range(len(pts)), 3)
             if orient(pts[i], pts[j], pts[k]) == 0]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delgraphs import planarity, region
-from delgraphs.geometry import (Point2, Segment, clear_denominators,
-                                convex_hull, on_closed_segment, orient, point,
+from delgraphs.geometry import (Point2, clear_denominators, convex_hull,
+                                on_closed_segment, orient, point,
                                 scale_to_integers)
 from delgraphs.instances import generate_bounded_instance, generate_instance
 from delgraphs.shape import (HOMOTHET, MODES, POSITIVE_SCALE, TRANSLATE,
@@ -20,7 +21,7 @@ points = st.builds(Point2, frac, frac)
 
 
 def seg(ax, ay, bx, by):
-    return Segment(point(ax, ay), point(bx, by))
+    return point(ax, ay), point(bx, by)
 
 
 def test_orient_examples():
@@ -64,14 +65,9 @@ def test_orient_zero_iff_affine_combination(p, q, r):
 
 def test_on_closed_segment_examples():
     s = seg(0, 0, 1, 0)
-    assert on_closed_segment(point(Fraction(1, 2), 0), s)
-    assert on_closed_segment(point(0, 0), s)
-    assert not on_closed_segment(point(2, 0), s)
-
-
-def test_degenerate_segment_rejected():
-    with pytest.raises(ValueError):
-        Segment(point(1, 1), point(1, 1))
+    assert on_closed_segment(point(Fraction(1, 2), 0), *s)
+    assert on_closed_segment(point(0, 0), *s)
+    assert not on_closed_segment(point(2, 0), *s)
 
 
 def test_convex_hull_examples():
@@ -104,9 +100,23 @@ def test_convex_hull_is_convex_and_covers(pts):
     else:
         # all collinear: every point on the extreme segment
         if len(hull) == 2:
-            s = Segment(hull[0], hull[1])
             for p in pts:
-                assert on_closed_segment(p, s)
+                assert on_closed_segment(p, hull[0], hull[1])
+
+
+@given(st.lists(points, min_size=1, max_size=6))
+def test_predicates_read_the_same_on_the_grid(pts):
+    """``planarity`` runs the predicates on ``scale_to_integers``' int
+    pairs: a positive uniform scaling keeps every orientation sign and
+    incidence, and the hull's vertices sit at the same input positions."""
+    assert tuple(point(1, 2)) == (1, 2)
+    grid, _ = scale_to_integers(pts)
+    for i, j, k in itertools.product(range(len(pts)), repeat=3):
+        assert orient(pts[i], pts[j], pts[k]) == orient(grid[i], grid[j], grid[k])
+        assert on_closed_segment(pts[i], pts[j], pts[k]) \
+            == on_closed_segment(grid[i], grid[j], grid[k])
+    assert [pts.index(p) for p in convex_hull(pts)] \
+        == [grid.index(q) for q in convex_hull(grid)]
 
 
 @given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=12))

@@ -215,6 +215,20 @@ def test_generator_validates_arguments():
         generate_bounded_instance(1, 4, 2, HOMOTHET)
 
 
+def test_generators_take_the_seeds_their_files_carry():
+    """A seed line holds an unsigned 64-bit integer, so the generators
+    reject any other seed, and the largest one round-trips."""
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            generate_instance(seed, 3, 3, TRANSLATE, F(0))
+        with pytest.raises(ValueError):
+            generate_bounded_instance(seed, 3, 3, HOMOTHET)
+    top = (1 << 64) - 1
+    for inst in (generate_instance(top, 3, 3, TRANSLATE, F(0)),
+                 generate_bounded_instance(top, 3, 3, HOMOTHET)):
+        assert inst.seed == top and parse_instance(emit_instance(inst)) == inst
+
+
 def test_bounded_generator_is_bounded_closed_nonempty():
     from delgraphs.region import constraint
     for seed in range(40):
@@ -296,6 +310,12 @@ def test_sampled_edges_makes_its_integer_forms_once(monkeypatch):
     assert len(found) == 4
     with pytest.raises(ValueError):
         sampled_edges(inst, 0, 7)
+
+
+def test_sampled_edges_rejects_zero_trials_at_every_n():
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            sampled_edges(generate_instance(11, n, 5, HOMOTHET, F(1, 4)), 0, 7)
 
 
 def test_sample_witness_search_answers_are_pinned():
