@@ -16,33 +16,34 @@ unscaled problem.  The dictionary simplex below uses Bland's rule with
 ties broken by lowest variable index, so it cannot cycle and is fully
 deterministic.
 
-Dictionary convention: row i of ``tab``/``rhs`` reads
-``basic_i = (rhs_i - tab_i . nonbasic) / den``.  The objective is the
-last row, stored the same way, so its coefficients are kept negated: a
-slot may enter while ``tab[-1]`` is negative there, and every pivot
-updates the objective with the other rows.  One Bland loop serves both
-phases.  Phase I appends an auxiliary column of -1s and maximizes -aux.
-If aux is still basic at its end, its row has a nonzero entry on some
-nonbasic slot: each row is ``y . [A | I | -1]`` for some multipliers y,
-every slack column is still present, so a row reading ``aux = rhs``
-alone would force y = 0.
+Dictionary convention: ``cols[0]`` is the rhs and ``cols[1 + k]`` slot
+k's column, so row i reads ``basic_i = (rhs_i - row_i . nonbasic) / den``.
+The objective is the last row, the last entry of every column, kept
+negated: a slot may enter while its column ends negative, and every
+pivot updates the objective with the other rows.  One Bland loop serves
+both phases.  Phase I appends an auxiliary column of -1s and maximizes
+-aux.  If aux is still basic at its end, its row has a nonzero entry on
+some nonbasic slot: each row is ``y . [A | I | -1]`` for some
+multipliers y, every slack column is still present, so a row reading
+``aux = rhs`` alone would force y = 0.
 
 The dictionary is fraction-free (Edmonds 1967, Bareiss 1968): its
 entries are integer numerators over one shared ``den`` > 0, 1 at the
-start.  A pivot on p = tab[r][e] takes each other row's slot j to
-``(tab_ij*p - f*tab_rj) // den`` (f = tab_ie) and its slot e to -f, the
-pivot row's slot e to ``den``, and then ``den`` to p, negating every
-numerator when p < 0.  Each division is exact: ``den`` is, up to sign,
-the determinant of the basis matrix B over the integer data, and each
-numerator is det(B) times an entry of B^-1 times the data, a minor by
-Cramer's rule.  Rows and columns appended later (the aux column, the
-Phase I and Phase II objectives) go in times ``den``.  As ``den`` > 0,
-every sign test reads the same on numerators as on values, and a ratio
-rhs_i / tab_ie does not depend on ``den``.  Ratios are compared by
-cross-multiplication, rhs_i / tab_ie < rhs_r / tab_re iff
-rhs_i*tab_re < rhs_r*tab_ie as both tab entries are positive, so every
-pivot and every answer is that of the same simplex over ``Fraction``
-values.
+start.  A pivot on p = cols[1 + e][r], with g = sign(p) times that
+column, passes once over each other column (the rhs too) as its row-r
+entry v needs: row i goes to ``(o*|p| - g_i*v) // den`` and row r to
+sign(p)*v.  At v = 0 that is the scale ``o*|p| // den``, and nothing at
+|p| = den.  The pivot column goes to -g, sign(p)*den in row r, and
+``den`` to |p| > 0.  Each division is exact, the scale's too as the
+same update: ``den`` is, up to sign, the determinant of the basis
+matrix B over the integer data, and each numerator is det(B) times an
+entry of B^-1 times the data, a minor by Cramer's rule.  Rows and
+columns appended later (the aux column, the Phase I and Phase II
+objectives) go in times ``den``.  As ``den`` > 0, every sign test reads
+the same on numerators as on values, and a ratio rhs_i / col_i does not
+depend on ``den``.  Ratios are compared by cross-multiplication, as
+both col entries are positive, so every pivot and every answer is that
+of the same simplex over ``Fraction`` values.
 
 Farkas certificates: integer y >= 0 over rows S with y.A_S = 0 and
 y.b_S < 0 prove the LP infeasible, for any (x, s >= 0) would give
@@ -69,104 +70,109 @@ class LPError(RuntimeError):
 
 
 class _Dictionary:
-    """The slack LP as a fraction-free simplex dictionary: integer
-    numerators over one shared ``den`` > 0."""
+    """The slack LP as a fraction-free simplex dictionary stored by
+    columns: integer numerators over one shared ``den`` > 0."""
 
     def __init__(self, dim, rows):
         nvar = 2 * dim + 1  # x_j split into u_j - v_j, plus the slack s
         self.den = 1
-        # row i: coefficients over nonbasic slots
-        self.tab = [[*a, *(-c for c in a), sigma] for a, _, sigma in rows]
-        self.rhs = [b for _, b, _ in rows]
-        self.tab.append([0] * (nvar - 1) + [1])  # cap row: s <= 1
-        self.rhs.append(1)
+        # the rhs, then slot k's column; the last row is the cap s <= 1
+        xs = [[a[j] for a, _, _ in rows] for j in range(dim)]
+        self.cols = [[b for _, b, _ in rows] + [1], *(c + [0] for c in xs),
+                     *([-v for v in c] + [0] for c in xs), [s for *_, s in rows] + [1]]
         self.nonbasic = list(range(nvar))
-        self.basic = list(range(nvar, nvar + len(self.tab)))
+        self.basic = list(range(nvar, nvar + len(rows) + 1))
 
     def lowest(self, slots):
         # Bland's rule: the slot holding the lowest variable id, or -1
         return min(slots, key=self.nonbasic.__getitem__, default=-1)
 
     def pivot(self, r, e):
-        """Pivot on p = tab[r][e]: p becomes den, and every division is
-        exact."""
-        tab, rhs, den = self.tab, self.rhs, self.den
-        row = tab[r]
-        p = row[e]
-        for i, other in enumerate(tab):
-            if i == r:
+        """Pivot on p = cols[1 + e][r]: p becomes den, every division is
+        exact, and each column is rewritten only as its row-r entry needs."""
+        cols, den, c = self.cols, self.den, e + 1
+        f = cols[c]
+        p = f[r]
+        q = abs(p)
+        if p > 0:  # g = sign(p) * f; the new pivot column is -g, den at r
+            g, new = f, [-v for v in f]
+            new[r] = den
+        else:
+            g, new = [-v for v in f], f
+            new[r] = -den
+        g[r] = q - new[r]  # which takes row r of every column to sign(p) * v
+        for k, col in enumerate(cols):
+            if k == c:
                 continue
-            if f := other[e]:
-                other[:] = [(o * p - f * v) // den for o, v in zip(other, row)]
-                other[e] = -f
-            elif p != den:
-                other[:] = [o * p // den for o in other]
-            rhs[i] = (rhs[i] * p - f * rhs[r]) // den
-        row[e], self.den = den, abs(p)
-        if p < 0:  # keep den > 0
-            for other in tab:
-                other[:] = [-v for v in other]
-            rhs[:] = [-v for v in rhs]
+            if v := col[r]:
+                cols[k] = [(o * q - h * v) // den for o, h in zip(col, g)]
+            elif q != den:
+                cols[k] = [o * q // den for o in col]
+        cols[c], self.den = new, q
         self.nonbasic[e], self.basic[r] = self.basic[r], self.nonbasic[e]
 
     def bland(self):
-        """Maximize the objective tab[-1] (stored negated) and return its
-        optimum (its numerator)."""
-        tab, rhs, basic = self.tab, self.rhs, self.basic
-        obj = tab[-1]
-        while (e := self.lowest(j for j in range(len(obj)) if obj[j] < 0)) >= 0:
-            cands = [i for i in range(len(tab) - 1) if tab[i][e] > 0]
-            if not cands:
-                raise LPError("objective unbounded; the s <= 1 cap should prevent this")
-            r = cands[0]  # the least rhs_i / tab_ie; ties to the lowest basic id
-            for i in cands[1:]:
-                d = rhs[i] * tab[r][e] - rhs[r] * tab[i][e]
-                if d < 0 or (d == 0 and basic[i] < basic[r]):
+        """Maximize the objective, the last row (stored negated), and
+        return its optimum (its numerator)."""
+        cols, basic = self.cols, self.basic
+        slots = range(len(cols) - 1)
+        while (e := self.lowest(j for j in slots if cols[j + 1][-1] < 0)) >= 0:
+            rhs, col = cols[0], cols[e + 1]
+            r = -1  # the least rhs_i / col_i over col_i > 0; ties to the lowest basic id
+            for i in range(len(col) - 1):
+                if (t := col[i]) <= 0:
+                    continue
+                d = rhs[i] * col[r] - rhs[r] * t if r >= 0 else -1
+                if d < 0 or d == 0 and basic[i] < basic[r]:
                     r = i
+            if r < 0:
+                raise LPError("objective unbounded; the s <= 1 cap should prevent this")
             self.pivot(r, e)
-        return rhs[-1]
+        return cols[0][-1]
 
     def phase_one(self):
         """Phase I: return the optimum of -aux, 0 when no rhs is negative.
         Unless it is negative, aux then leaves the dictionary."""
-        tab, rhs, nonbasic, den = self.tab, self.rhs, self.nonbasic, self.den
-        worst = min(range(len(tab)), key=rhs.__getitem__)
+        cols, nonbasic, den = self.cols, self.nonbasic, self.den
+        rhs = cols[0]
+        m = len(rhs)
+        worst = min(range(m), key=rhs.__getitem__)
         if rhs[worst] >= 0:
             return 0
-        nvar, aux_id = len(nonbasic), len(nonbasic) + len(tab)
-        for row in tab:
-            row.append(-den)
+        nvar, aux_id = len(nonbasic), len(nonbasic) + m
+        for col in cols:
+            col.append(0)  # the objective row, -aux
+        cols.append([-den] * m + [den])
         nonbasic.append(aux_id)
-        tab.append([0] * nvar + [den])
-        rhs.append(0)
         self.pivot(worst, nvar)  # aux enters on the first row of least rhs
         z = self.bland()
         if z < 0:
             return z
-        del tab[-1], rhs[-1]
+        for col in cols:
+            del col[-1]
         if aux_id in self.basic:
             r = self.basic.index(aux_id)
-            e = self.lowest(j for j in range(len(nonbasic)) if tab[r][j] != 0)
+            e = self.lowest(j for j in range(len(nonbasic)) if cols[j + 1][r] != 0)
             if e < 0:
                 raise LPError("auxiliary row vanished on every nonbasic slot")
             self.pivot(r, e)
         slot = nonbasic.index(aux_id)
-        del nonbasic[slot]
-        for row in tab:
-            del row[slot]
+        del nonbasic[slot], cols[slot + 1]
         return z
 
     def phase_two(self):
         """Phase II: maximize the slack s from the feasible dictionary
         Phase I left, and return its optimum (its numerator)."""
+        cols = self.cols
         s_id = len(self.nonbasic) - 1  # s, the last of the 2 * dim + 1 variables
         if s_id in self.basic:
             r = self.basic.index(s_id)
-            self.tab.append(list(self.tab[r]))
-            self.rhs.append(self.rhs[r])
+            for col in cols:
+                col.append(col[r])
         else:
-            self.tab.append([-(v == s_id) * self.den for v in self.nonbasic])
-            self.rhs.append(0)
+            cols[0].append(0)
+            for v, col in zip(self.nonbasic, cols[1:]):
+                col.append(-(v == s_id) * self.den)
         return self.bland()
 
 
@@ -192,7 +198,7 @@ def solve_slack_lp(dim, rows):
     if lp.phase_one() < 0:
         return False, None, None, None
     s = lp.phase_two()
-    val = dict(zip(lp.basic, lp.rhs))
+    val = dict(zip(lp.basic, lp.cols[0]))
     x = tuple([val.get(j, 0) - val.get(dim + j, 0) for j in range(dim)])
     return True, x, s, lp.den
 

@@ -30,11 +30,14 @@ class SplitMix64:
         return (z ^ (z >> 31)) & MASK64
 
     def below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n).  Modulo bias is irrelevant at the
-        tiny ranges used here."""
+        """Uniform-ish integer in [0, n): one 64-bit word, more only while
+        n exceeds their span.  Modulo bias is irrelevant at these ranges."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        return self.next_u64() % n
+        x, span = self.next_u64(), 1 << 64
+        while span < n:
+            x, span = x << 64 | self.next_u64(), span << 64
+        return x % n
 
     def chance(self, num: int, den: int) -> bool:
         """True with probability num/den."""

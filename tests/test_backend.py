@@ -168,8 +168,8 @@ def _run_pinned(monkeypatch):
         return cert
 
     def phasing(lp):
-        branches["no Phase I"] += min(lp.rhs) >= 0
-        aux.append(len(lp.nonbasic) + len(lp.tab))
+        branches["no Phase I"] += min(lp.cols[0]) >= 0
+        aux.append(len(lp.nonbasic) + len(lp.cols[0]))
         z = phase_one(lp)
         aux.pop()
         branches["Phase I empty"] += z < 0
@@ -412,20 +412,19 @@ def test_other_points_change_no_witness(monkeypatch, name):
 
 
 def _dense_pivot(lp, r, e):
-    """The reference pivot: it updates every entry of every other row, the
-    zero entries of the pivot row included, and divides by the pivot."""
-    tab, rhs = lp.tab, lp.rhs
-    row = tab[r]
-    inv = Fraction(1) / row[e]
-    row[:] = [v * inv for v in row]
-    row[e] = inv
-    rhs[r] = rhs[r] * inv
-    for i, other in enumerate(tab):
-        if i == r or not (f := other[e]):
-            continue
-        other[:] = [o - f * v for o, v in zip(other, row)]
-        other[e] = -f * inv
-        rhs[i] = rhs[i] - f * rhs[r]
+    """The reference pivot: it updates every entry of every column, those
+    whose pivot-row entry is zero included, and divides by the pivot."""
+    cols = lp.cols
+    f = cols[e + 1][:]
+    inv = Fraction(1) / f[r]
+    for k, col in enumerate(cols):
+        if k == e + 1:
+            col[:] = [-g * inv for g in f]
+            col[r] = inv
+        else:
+            v = col[r] * inv  # the pivot row's entry, divided by the pivot
+            col[:] = [o - g * v for o, g in zip(col, f)]
+            col[r] = v
     lp.nonbasic[e], lp.basic[r] = lp.basic[r], lp.nonbasic[e]
 
 
@@ -437,14 +436,18 @@ class _Dense(backend._Dictionary):
 
     def __init__(self, dim, rows):
         super().__init__(dim, rows)
-        self.tab = [[Fraction(v) for v in row] for row in self.tab]
-        self.rhs = [Fraction(v) for v in self.rhs]
+        self.cols = [[Fraction(v) for v in col] for col in self.cols]
 
 
 def _values(lp):
-    """Every entry as a value, numerator / ``den``, with the bases."""
-    return ([[Fraction(v) / lp.den for v in row] for row in lp.tab],
-            [Fraction(v) / lp.den for v in lp.rhs], lp.basic, lp.nonbasic)
+    """Every entry as a value, numerator / ``den``, column by column (the
+    rhs first), with the bases."""
+    return [[Fraction(v) / lp.den for v in col] for col in lp.cols], lp.basic, lp.nonbasic
+
+
+def _row(lp, r):
+    """Row r's entries over the nonbasic slots."""
+    return [col[r] for col in lp.cols[1:]]
 
 
 def test_fraction_free_pivot_matches_the_dense_one():
@@ -457,23 +460,25 @@ def test_fraction_free_pivot_matches_the_dense_one():
         rows = _random_rows(rng, dim, 4)
         obj = [rng.randint(-3, 3) for _ in range(2 * dim + 1)]
         lp, dense = backend._Dictionary(dim, rows), _Dense(dim, rows)
-        for d in (lp, dense):
-            d.tab.append([d.den * c for c in obj])  # an objective row
-            d.rhs.append(0)
+        for d in (lp, dense):  # an objective row
+            d.cols[0].append(0)
+            for c, col in zip(obj, d.cols[1:]):
+                col.append(d.den * c)
         for _ in range(6):
-            r = rng.randrange(len(lp.tab) - 1)
-            slots = [j for j, v in enumerate(lp.tab[r]) if v != 0]
+            r = rng.randrange(len(lp.cols[0]) - 1)
+            row = _row(lp, r)
+            slots = [j for j, v in enumerate(row) if v != 0]
             if not slots:
                 continue
-            zeros += len(lp.tab[r]) - len(slots)
+            zeros += len(row) - len(slots)
             e = rng.choice(slots)
-            negative += lp.tab[r][e] < 0
+            negative += row[e] < 0
             lp.pivot(r, e)
             _dense_pivot(dense, r, e)
             pivots += 1
             assert lp.den > 0 and _values(lp) == _values(dense)
-    assert pivots > 500 and zeros > pivots  # the skipped entries are exercised
-    assert negative > 100  # and pivots on p < 0, which negate every numerator
+    assert pivots > 500 and zeros > pivots  # the columns only scaled or kept are exercised
+    assert negative > 100  # and pivots on p < 0, whose sign the same pass applies
 
 
 def test_phases_match_the_dense_reference_after_pivots():
@@ -487,12 +492,12 @@ def test_phases_match_the_dense_reference_after_pivots():
         rows = _random_rows(rng, dim, 4)
         lp, dense = backend._Dictionary(dim, rows), _Dense(dim, rows)
         for _ in range(rng.randint(1, 3)):
-            r = rng.randrange(len(lp.tab))
-            if slots := [j for j, v in enumerate(lp.tab[r]) if v != 0]:
+            r = rng.randrange(len(lp.cols[0]))
+            if slots := [j for j, v in enumerate(_row(lp, r)) if v != 0]:
                 e = rng.choice(slots)
                 lp.pivot(r, e)
                 dense.pivot(r, e)
-        appended["aux"] += lp.den != 1 and min(lp.rhs) < 0
+        appended["aux"] += lp.den != 1 and min(lp.cols[0]) < 0
         z = lp.phase_one()
         assert Fraction(z, lp.den) == dense.phase_one() and _values(lp) == _values(dense)
         if z < 0:
@@ -502,6 +507,41 @@ def test_phases_match_the_dense_reference_after_pivots():
         assert Fraction(s, lp.den) == dense.phase_two(), rows
         assert lp.den > 0 and _values(lp) == _values(dense)
     assert min(appended.values()) > 20
+
+
+def _dense_solve(dim, rows):
+    """``solve_slack_lp`` on the dense reference, as ``_answer`` reads it."""
+    lp = _Dense(dim, rows)
+    if lp.phase_one() < 0:
+        return False, None, None
+    s = lp.phase_two()
+    val = dict(zip(lp.basic, lp.cols[0]))
+    return True, tuple(val.get(j, 0) - val.get(dim + j, 0) for j in range(dim)), s
+
+
+def test_kernel_matches_the_dense_reference_on_the_search_lps(monkeypatch):
+    """Every kernel call of both builds of a bounded instance and of its
+    boundary scan, the 10- to 30-row witness LPs that ``_random_rows``
+    never makes among them: the answer of the dense ``Fraction``
+    reference's Bland solve."""
+    calls = []
+    solve = backend.solve_slack_lp
+
+    def recording(dim, rows):
+        answer = solve(dim, rows)
+        calls.append((dim, list(rows), answer))
+        return answer
+
+    monkeypatch.setattr(backend, "solve_slack_lp", recording)
+    inst = generate_bounded_instance(116, 8, 6, TRANSLATE)
+    for mode in MODES:
+        build_graph(inst.points, inst.shape, mode)
+    assert find_boundary_degeneracy(inst.points.points, inst.shape) is None
+    for dim, rows, answer in calls:
+        assert _answer(answer) == _dense_solve(dim, rows), (dim, rows)
+    assert {dim for dim, _, _ in calls} == {2, 3}
+    assert sum(len(rows) >= 18 for _, rows, _ in calls) > 10
+    assert any(not ok for _, _, (ok, *_) in calls)
 
 
 def test_ratio_test_is_exact_beyond_float_precision():

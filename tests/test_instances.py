@@ -11,7 +11,7 @@ from delgraphs.instances import (Instance, ParseError, emit_instance,
                                  generate_bounded_instance, generate_instance,
                                  parse_instance, parse_rational, sample_witness_search,
                                  sampled_edges, translation_window)
-from delgraphs.rng import derive_seed
+from delgraphs.rng import SplitMix64, derive_seed
 from delgraphs.builder import PointSet
 from delgraphs.geometry import point
 from delgraphs.region import feasible
@@ -278,6 +278,22 @@ def test_translation_window():
     lox, hix, loy, hiy = translation_window(pts)
     assert lox <= -1 and hix >= 3 and loy <= 0 and hiy >= 4
     assert hix - lox >= 2 * 4 and hiy - loy >= 2 * 4
+
+
+def test_below_draws_further_words_only_beyond_2_64():
+    """Up to n = 2**64 a draw is one word, ``next_u64() % n`` as it always
+    was, so the streams stay put; beyond it the draws reach the whole
+    range, as the window of the points (0, 0) and (10**18, 1) times a
+    ``t_den`` of 32 needs."""
+    for n in (1, 7, 32, 2**63 + 1, 2**64 - 1, 2**64):
+        gen, ref = SplitMix64(5), SplitMix64(5)
+        assert [gen.below(n) for _ in range(200)] == [ref.next_u64() % n for _ in range(200)]
+    lox, hix, _, _ = translation_window(PointSet((point(0, 0), point(10**18, 1))))
+    n = (hix - lox) * 32 + 1
+    assert n > 5 * 2**64
+    gen = SplitMix64(5)
+    draws = [gen.below(n) for _ in range(1000)]
+    assert max(draws) < n and sum(d >= 2**64 for d in draws) > 700
 
 
 def test_sample_search_argument_validation():
